@@ -18,6 +18,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Any
@@ -206,6 +207,16 @@ def _nonneg_int(text: str) -> int:
     return v
 
 
+def _positive_float(text: str) -> float:
+    v = float(text)
+    if not 0 < v < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive finite number, at least 5e-324 (the smallest "
+            f"positive float; smaller values round to 0), got {text}"
+        )
+    return v
+
+
 def _int_list(text: str) -> list[int]:
     try:
         return [int(t, 10) for t in text.split(",") if t.strip()]
@@ -236,12 +247,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("density", help="density of unimodular k x n integer matrices")
     p.add_argument("--k", required=True, type=_positive_int)
     p.add_argument("--n", required=True, type=_positive_int)
-    p.add_argument("--tol", type=float, default=1e-12, help="absolute error tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-12, help="absolute error tolerance")
     p.set_defaults(func=_cmd_density)
 
     p = sub.add_parser("limit", help="codimension-d limit of the densities as n grows")
     p.add_argument("--d", required=True, type=_positive_int, help="codimension n - k")
-    p.add_argument("--tol", type=float, default=1e-12, help="absolute error tolerance")
+    p.add_argument("--tol", type=_positive_float, default=1e-12, help="absolute error tolerance")
     p.set_defaults(func=_cmd_limit)
 
     p = sub.add_parser("local", help="exact density of full rank mod every prime in a set")

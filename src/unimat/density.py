@@ -11,10 +11,20 @@ coprime to every p in S is prod_{j=n-k+1}^{n} prod_{p in S} (1 - p^(-j)),
 which equals prod_{p in S} |F_p| / p^(kn) for the full-rank count
 |F_p| = prod_{j=0}^{k-1} (p^n - p^j) over Z/pZ.
 
-zeta(j) is evaluated by a truncated series plus the first two
-Euler-Maclaurin tail terms; the enveloping remainder bound
-(j/12) * M^(-(j+1)) picks the cutoff M, and every reported value carries a
-rigorous absolute error bound at or below the requested tolerance.
+zeta(j) is evaluated by Euler-Maclaurin summation with p correction terms:
+the series is summed directly below a cutoff N, and the tail from N on is
+replaced by its integral, half its first term and p terms built from the
+Bernoulli numbers B_2, ..., B_2p, which are computed exactly and cached.
+N grows with the number of requested digits only, so the smallest term of
+the expansion, about exp(-2 pi N), lies below the tolerance; the expansion
+stops at its first term below tol/2, whose absolute value bounds the
+remainder (for real j > 1 the remainder has the sign of that term and
+smaller size). The cost is therefore polynomial in log(1/tol): about
+log10(1/tol)/2 series terms and 0.6 log10(1/tol) correction terms, against
+tol^(-1/(j+1)) series terms for a fixed-length expansion. The densities
+are products of zeta(j)^(-1) over a range of j computed by one routine, and
+every reported value carries a rigorous absolute error bound at or below
+the requested tolerance.
 """
 
 from __future__ import annotations
@@ -98,40 +108,124 @@ def first_primes(t: int) -> PrimeSet:
     return PrimeSet(tuple(out))
 
 
-def _working_digits(tol: float) -> int:
-    return max(40, 12 - int(math.floor(math.log10(tol))))
+def _tolerance(tol: float | Decimal) -> Decimal:
+    """tol as an exact Decimal, after checking it is positive and finite."""
+    if not 0 < tol < math.inf:
+        raise ValueError(f"tolerance must be positive and finite, got {tol}")
+    return Decimal(tol)
 
 
-def zeta(j: int, tol: float) -> ZetaValue:
+def _working_digits(tol: Decimal) -> int:
+    return max(40, 12 - tol.adjusted())
+
+
+# _BERNOULLI[i] is B_(2i), exactly; _bernoulli grows the list on demand.
+_BERNOULLI: list[Fraction] = [Fraction(1)]
+
+
+def _bernoulli(i: int) -> Fraction:
+    """B_(2i), exactly. Past the end of the cache it recomputes the cache to
+    at least twice its length from the tangent numbers T_k, which an
+    integer recurrence yields (Brent & Harvey, "Fast computation of
+    Bernoulli, tangent and secant numbers", 2013):
+    B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))."""
+    if i >= len(_BERNOULLI):
+        n = max(i, 2 * len(_BERNOULLI))
+        t = [0, 1] + [0] * (n - 1)
+        for k in range(2, n + 1):
+            t[k] = (k - 1) * t[k - 1]
+        for k in range(2, n + 1):
+            for m in range(k, n + 1):
+                t[m] = (m - k) * t[m - 1] + (m - k + 2) * t[m]
+        _BERNOULLI[1:] = [
+            Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, n + 1)
+        ]
+    return _BERNOULLI[i]
+
+
+def zeta(j: int, tol: float | Decimal) -> ZetaValue:
     """zeta(j) for integer j >= 2 with absolute error <= tol.
 
-    Sums m^(-j) for m <= M and appends the tail terms
-    M^(1-j)/(j-1) - M^(-j)/2; the remainder of that expansion is enveloped
-    by (j/12) * M^(-(j+1)), which chooses M against tol/2, leaving headroom
-    for decimal rounding inside the reported bound.
+    Euler-Maclaurin at the cutoff N:
+
+        zeta(j) = sum_{m<N} m^(-j) + N^(1-j)/(j-1) + N^(-j)/2
+                  + sum_{i=1}^{p} T_i + R_p,
+        T_i = B_(2i)/(2i)! * j(j+1)...(j+2i-2) * N^(1-j-2i).
+
+    Every derivative of x^(-j) of even order is positive, so the remainder
+    R_p has the sign of T_(p+1) and |R_p| <= |T_(p+1)|. The |T_i| shrink
+    by about ((j+2i)/(2 pi N))^2 per step, down to about exp(-2 pi N)
+    before they turn to grow; with D = -floor(log10(tol)),
+    N = max(10, ceil(D/2)) puts that low point well below tol/2. p is the
+    number of terms before the first one at or below tol/2 (about 0.6 D),
+    and that term's absolute value is the remainder bound. Sums run in
+    decimal at D + 12 digits (at least 40), one rounding per operation, so
+    the bound adds one unit of the last place per term; series terms and
+    tails below 10^(-digits) are skipped against the same allowance, so
+    a huge j costs no j-digit integers. terms reports N.
     """
     if not isinstance(j, int) or j <= 1:
         raise ValueError(
             f"zeta is evaluated for integer arguments >= 2 only; the series "
             f"diverges at 1 and below (got {j})"
         )
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    target = tol / 2
-    m_cut = max(10, math.ceil((j / (12 * target)) ** (1.0 / (j + 1))) + 1)
+    tol = _tolerance(tol)
     digits = _working_digits(tol)
+    n_cut = max(10, math.ceil(-tol.adjusted() / 2))
+    p = 0
     with localcontext() as ctx:
         ctx.prec = digits
+        target = tol / 2
         one = Decimal(1)
         s = Decimal(0)
-        for m in range(1, m_cut + 1):
+        for m in range(1, n_cut):
+            if j * math.log10(m) >= digits:
+                break  # m^(-j) and every later term are below 10^(-digits)
             s += one / Decimal(m**j)
-        s += one / (Decimal(m_cut ** (j - 1)) * (j - 1))
-        s -= one / (Decimal(m_cut**j) * 2)
-        tail_bound = Decimal(j) / (Decimal(12) * Decimal(m_cut ** (j + 1)))
-        # one rounding per arithmetic op, each within an ulp of ~1.65
-        rounding = Decimal(m_cut + 10) * Decimal(10) ** (1 - digits)
-        return ZetaValue(s, tail_bound + rounding, m_cut)
+        remainder = Decimal(0)
+        # below the threshold the whole tail sum_{m>=N} m^(-j), at most
+        # N^(-j) + N^(1-j)/(j-1), is under 2 * 10^(-digits)
+        if (j - 1) * math.log10(n_cut) < digits:
+            s += one / Decimal((j - 1) * n_cut ** (j - 1))
+            s += one / Decimal(2 * n_cut**j)
+            # T_i = B_(2i) * rising / (fact * power), updated in step with i
+            rising, fact, power = j, 2, n_cut ** (j + 1)
+            while True:
+                b = _bernoulli(p + 1)
+                term = Decimal(b.numerator * rising) / Decimal(b.denominator * fact * power)
+                if abs(term) <= target:
+                    remainder = abs(term)
+                    break
+                s += term
+                p += 1
+                rising *= (j + 2 * p - 1) * (j + 2 * p)
+                fact *= (2 * p + 1) * (2 * p + 2)
+                power *= n_cut * n_cut
+        # one rounding per arithmetic op, each within half an ulp of a sum
+        # below 10
+        rounding = Decimal(n_cut + p + 10) * Decimal(10) ** (1 - digits)
+        return ZetaValue(s, remainder + rounding, n_cut)
+
+
+def _inverse_zeta_product(lo: int, hi: int, tol: Decimal) -> tuple[Decimal, Decimal, dict[int, int]]:
+    """prod_{j=lo}^{hi} zeta(j)^(-1), its absolute error bound (at most about
+    tol/4) and the zeta series cutoff of each factor."""
+    digits = _working_digits(tol)
+    cutoffs: dict[int, int] = {}
+    with localcontext() as ctx:
+        ctx.prec = digits
+        per_factor = tol / (4 * (hi - lo + 1))
+        value = Decimal(1)
+        err_sum = Decimal(0)
+        for j in range(lo, hi + 1):
+            zv = zeta(j, per_factor)
+            value /= zv.value
+            err_sum += zv.error_bound
+            cutoffs[j] = zv.terms
+        # |1/z^ - 1/z| <= e/(1-e) per factor and factors stay below 1,
+        # so errors add; 1.01 absorbs the 1/(1-e) inflation and rounding.
+        bound = err_sum * Decimal("1.01") + Decimal(10) ** (8 - digits)
+    return value, bound, cutoffs
 
 
 def density_exact(k: int, n: int, tol: float) -> DensityReport:
@@ -142,25 +236,10 @@ def density_exact(k: int, n: int, tol: float) -> DensityReport:
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
+    tol = _tolerance(tol)
     if k == n:
         return DensityReport(Decimal(0), Decimal(0), {"zeta_series_cutoffs": {}, "product_cutoff": None})
-    per_factor = tol / (4 * k)
-    digits = _working_digits(tol)
-    cutoffs: dict[int, int] = {}
-    with localcontext() as ctx:
-        ctx.prec = digits
-        value = Decimal(1)
-        err_sum = Decimal(0)
-        for j in range(n - k + 1, n + 1):
-            zv = zeta(j, per_factor)
-            value /= zv.value
-            err_sum += zv.error_bound
-            cutoffs[j] = zv.terms
-        # |1/z^ - 1/z| <= e/(1-e) per factor and factors stay below 1,
-        # so errors add; 1.01 absorbs the 1/(1-e) inflation and rounding.
-        bound = err_sum * Decimal("1.01") + Decimal(10) ** (8 - digits)
+    value, bound, cutoffs = _inverse_zeta_product(n - k + 1, n, tol)
     return DensityReport(value, bound, {"zeta_series_cutoffs": cutoffs, "product_cutoff": None})
 
 
@@ -168,29 +247,18 @@ def density_limit(d: int, tol: float) -> DensityReport:
     """Limit density at fixed codimension d = n - k as n grows:
     prod_{j=d+1}^{infinity} zeta(j)^(-1), with absolute error <= tol.
 
-    The product is truncated at J = max(40, ceil(log2(1/tol)) + 2); the
-    dropped factor lies within 2^(1-J) of 1 because
-    ln zeta(j) <= zeta(j) - 1 <= 2^(1-j) for j >= 3.
+    The product is truncated at J = max(d + 1, 40, ceil(log2(1/tol)) + 2),
+    so it keeps at least one factor; the dropped factor lies within 2^(1-J)
+    <= tol/2 of 1 because ln zeta(j) <= zeta(j) - 1 <= 2^(1-j) for j >= 3.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"codimension must be an integer >= 1, got {d}")
-    if not tol > 0:
-        raise ValueError(f"tolerance must be positive, got {tol}")
-    j_cut = max(40, math.ceil(math.log2(1 / tol)) + 2)
-    per_factor = tol / (4 * (j_cut - d))
-    digits = _working_digits(tol)
-    cutoffs: dict[int, int] = {}
+    tol = _tolerance(tol)
+    j_cut = max(d + 1, 40, math.ceil(-math.log2(tol)) + 2)
+    value, bound, cutoffs = _inverse_zeta_product(d + 1, j_cut, tol)
     with localcontext() as ctx:
-        ctx.prec = digits
-        value = Decimal(1)
-        err_sum = Decimal(0)
-        for j in range(d + 1, j_cut + 1):
-            zv = zeta(j, per_factor)
-            value /= zv.value
-            err_sum += zv.error_bound
-            cutoffs[j] = zv.terms
-        tail = Decimal(2) ** (1 - j_cut)
-        bound = err_sum * Decimal("1.01") + tail + Decimal(10) ** (8 - digits)
+        ctx.prec = _working_digits(tol)
+        bound += Decimal(2) ** (1 - j_cut)
     return DensityReport(value, bound, {"zeta_series_cutoffs": cutoffs, "product_cutoff": j_cut})
 
 
@@ -223,11 +291,4 @@ def local_density(s: PrimeSet, k: int, n: int) -> Fraction:
 def divisibility_defect(p: int, k: int, n: int) -> Fraction:
     """Probability that p divides every full-rank minor:
     1 - prod_{j=n-k+1}^{n} (1 - p^(-j)), exactly."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    prod = Fraction(1)
-    for j in range(n - k + 1, n + 1):
-        prod *= 1 - Fraction(1, p**j)
-    return 1 - prod
+    return 1 - local_density(PrimeSet((p,)), k, n)

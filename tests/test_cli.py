@@ -4,11 +4,19 @@ invocations run main() in-process."""
 
 import io
 import json
-from decimal import Decimal
+import os
+import subprocess
+import sys
+import time
+from decimal import Decimal, localcontext
+from pathlib import Path
 
+import mpmath
 import pytest
 
 from unimat.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 def _run(capsys, *argv):
@@ -120,6 +128,88 @@ def test_limit_command(capsys):
     data = json.loads(out)
     assert abs(Decimal(data["value"]) - Decimal("0.43575707677")) < Decimal("1e-10")
     assert data["terms"]["product_cutoff"] is not None
+
+
+def _mp_inverse_zeta_product(lo: int, dps: int, hi: int | None = None) -> Decimal:
+    """prod_{j=lo}^{hi} zeta(j)^(-1) to dps digits. Without hi, the limit
+    prod_{j>=lo}: the factors past lo + 3.33 dps + 9 lie within 2^(-j) of 1,
+    so dropping them costs below 10^(-dps)."""
+    if hi is None:
+        hi = lo + int(3.33 * dps) + 9
+    with mpmath.workdps(dps + 10):
+        prod = mpmath.fprod(1 / mpmath.zeta(j) for j in range(lo, hi + 1))
+        return Decimal(mpmath.nstr(prod, dps, strip_zeros=False))
+
+
+def _assert_within_bound(data: dict, oracle: Decimal, tol: float) -> None:
+    with localcontext() as ctx:
+        ctx.prec = 400
+        bound = Decimal(data["abs_error_bound"])
+        assert bound <= Decimal(tol), (bound, tol)
+        assert abs(Decimal(data["value"]) - oracle) <= bound, (data["value"], oracle, bound)
+
+
+@pytest.mark.parametrize("d", [41, 42, 43, 100])
+def test_limit_at_and_past_the_default_product_cutoff(capsys, d):
+    # the default tolerance cuts the product at j = 42; d at or past it
+    # must still take at least the factor zeta(d+1)
+    code, out, err = _run(capsys, "limit", "--d", str(d))
+    assert code == 0, err
+    data = json.loads(out)
+    assert str(d + 1) in data["terms"]["zeta_series_cutoffs"]
+    assert data["terms"]["product_cutoff"] >= d + 1
+    _assert_within_bound(data, _mp_inverse_zeta_product(d + 1, 40), 1e-12)
+
+
+def test_limit_huge_codimension_is_fast(capsys):
+    t0 = time.perf_counter()
+    code, out, _ = _run(capsys, "limit", "--d", "1000000")
+    assert code == 0
+    assert time.perf_counter() - t0 < 1.0
+    data = json.loads(out)
+    assert Decimal(data["abs_error_bound"]) <= Decimal(1e-12)
+    assert abs(Decimal(data["value"]) - 1) <= Decimal(data["abs_error_bound"])
+
+
+def _cli_subprocess(argv: list[str], timeout: float) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a fresh interpreter, killed after timeout seconds."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "unimat.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    return proc, time.perf_counter() - t0
+
+
+def test_density_tol_1e30_within_one_second():
+    proc, elapsed = _cli_subprocess(["density", "--k", "1", "--n", "2", "--tol", "1e-30"], 1.0)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 1.0
+    _assert_within_bound(json.loads(proc.stdout), _mp_inverse_zeta_product(2, 50, hi=2), 1e-30)
+
+
+# Every tolerance the CLI accepts is answered in bounded time. 5e-324 is the
+# smallest positive float; a smaller --tol parses to 0.0 and exits 2.
+TINY_TOL_SECONDS = 10.0
+
+
+@pytest.mark.parametrize("tol", ["1e-300", "5e-324"])
+@pytest.mark.parametrize("command", ["density", "limit"])
+def test_tiny_tolerance_answers_in_bounded_time(command, tol):
+    if command == "density":
+        argv, oracle = ["density", "--k", "1", "--n", "2"], _mp_inverse_zeta_product(2, 340, hi=2)
+    else:
+        argv, oracle = ["limit", "--d", "1"], _mp_inverse_zeta_product(2, 340)
+    proc, elapsed = _cli_subprocess([*argv, "--tol", tol], TINY_TOL_SECONDS)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < TINY_TOL_SECONDS
+    _assert_within_bound(json.loads(proc.stdout), oracle, float(tol))
+
+
+def test_tolerance_below_float_range_exits_2(capsys):
+    code, _, err = _run(capsys, "density", "--k", "1", "--n", "2", "--tol", "1e-400")
+    assert code == 2
+    assert "5e-324" in err
 
 
 def test_local_command(capsys):

@@ -1,8 +1,9 @@
 """Density formulas: zeta evaluation with rigorous error bounds, the exact
 density d_{k,n}, its codimension limits, and the per-prime local theory.
 
-mpmath (50-digit working precision) serves as the independent oracle for
-every transcendental value; rational quantities are checked exactly.
+mpmath (50-digit working precision, 80 digits for tolerances past 1e-20)
+serves as the independent oracle for every transcendental value; rational
+quantities are checked exactly.
 """
 
 import math
@@ -11,7 +12,9 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+import sympy
 
+from unimat import density as density_module
 from unimat.density import (
     PrimeSet,
     count_full_rank_mod_p,
@@ -58,6 +61,52 @@ def test_zeta_within_claimed_bound_and_tol(j, tol):
     assert res.terms >= 10
 
 
+def _mp80(x) -> Decimal:
+    """An 80-digit oracle string; call under mpmath.workdps(80)."""
+    return Decimal(mpmath.nstr(x, 80, strip_zeros=False))
+
+
+DEEP_TOLS = [1e-20, 1e-30, 1e-50]
+
+
+@pytest.mark.parametrize("j", [2, 3, 5, 11, 30])
+@pytest.mark.parametrize("tol", DEEP_TOLS)
+def test_zeta_deep_tolerance_against_80_digit_oracle(j, tol):
+    res = zeta(j, tol)
+    with mpmath.workdps(80):
+        err = abs(res.value - _mp80(mpmath.zeta(j)))
+    assert err <= res.error_bound <= Decimal(tol), (j, tol, err, res.error_bound)
+
+
+@pytest.mark.parametrize("tol", [1e-30, 1e-50])
+def test_density_and_limit_deep_tolerance_against_80_digit_oracle(tol):
+    with mpmath.workdps(80):
+        oracles = {
+            (1, 2): _mp80(1 / mpmath.zeta(2)),
+            (2, 3): _mp80(1 / (mpmath.zeta(2) * mpmath.zeta(3))),
+            "limit": _mp80(mpmath.fprod(1 / mpmath.zeta(j) for j in range(2, 300))),
+        }
+    for key, oracle in oracles.items():
+        rep = density_limit(1, tol) if key == "limit" else density_exact(*key, tol)
+        err = abs(rep.value - oracle)
+        assert err <= rep.abs_error_bound <= Decimal(tol), (key, tol, err, rep.abs_error_bound)
+
+
+def test_zeta_huge_argument_is_one_within_bound():
+    # every term past m = 1 lies far below the working precision; none is
+    # materialised as an integer of j digits
+    res = zeta(10**9, 1e-12)
+    assert res.value == 1
+    assert res.error_bound <= Decimal(1e-12)
+
+
+def test_bernoulli_cache_matches_sympy():
+    density_module._BERNOULLI[1:] = []
+    for i in (3, 1, 40, 17, 90):
+        assert density_module._bernoulli(i) == Fraction(str(sympy.bernoulli(2 * i))), i
+    assert len(density_module._BERNOULLI) > 90
+
+
 def test_zeta_domain_errors():
     for j in (1, 0, -3):
         with pytest.raises(ValueError):
@@ -66,6 +115,16 @@ def test_zeta_domain_errors():
         zeta(2, 0.0)
     with pytest.raises(ValueError):
         zeta(2, -1e-9)
+
+
+def test_non_finite_tolerance_is_rejected():
+    for tol in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            zeta(2, tol)
+        with pytest.raises(ValueError):
+            density_exact(1, 2, tol)
+        with pytest.raises(ValueError):
+            density_limit(1, tol)
 
 
 def test_density_known_constants():
