@@ -207,17 +207,30 @@ def zeta(j: int, tol: float | Decimal) -> ZetaValue:
         return ZetaValue(s, remainder + rounding, n_cut)
 
 
-def _inverse_zeta_product(lo: int, hi: int, tol: Decimal) -> tuple[Decimal, Decimal, dict[int, int]]:
-    """prod_{j=lo}^{hi} zeta(j)^(-1), its absolute error bound (at most about
-    tol/4) and the zeta series cutoff of each factor."""
+def _inverse_zeta_product(
+    lo: int, hi: int | None, tol: Decimal
+) -> tuple[Decimal, Decimal, dict[int, int], int | None]:
+    """prod_{j=lo}^{hi} zeta(j)^(-1), hi None for an infinite product; its
+    absolute error bound, at most about 3 tol / 4; the zeta series cutoff of
+    each evaluated factor; and the product cutoff, None when every factor
+    was evaluated.
+
+    Factors past J = max(lo, 40, ceil(log2(1/tol)) + 2) are dropped, so at
+    least one is kept and the cost does not grow with hi. Their product lies
+    within 2^(1-J) <= tol/2 of 1, because ln zeta(j) <= zeta(j) - 1 <=
+    2^(1-j) for j >= 3, and the kept product is at most 1, so the bound
+    grows by 2^(1-J).
+    """
     digits = _working_digits(tol)
+    j_cut = max(lo, 40, math.ceil(-math.log2(tol)) + 2)
+    top = j_cut if hi is None else min(hi, j_cut)
     cutoffs: dict[int, int] = {}
     with localcontext() as ctx:
         ctx.prec = digits
-        per_factor = tol / (4 * (hi - lo + 1))
+        per_factor = tol / (4 * (top - lo + 1))
         value = Decimal(1)
         err_sum = Decimal(0)
-        for j in range(lo, hi + 1):
+        for j in range(lo, top + 1):
             zv = zeta(j, per_factor)
             value /= zv.value
             err_sum += zv.error_bound
@@ -225,22 +238,27 @@ def _inverse_zeta_product(lo: int, hi: int, tol: Decimal) -> tuple[Decimal, Deci
         # |1/z^ - 1/z| <= e/(1-e) per factor and factors stay below 1,
         # so errors add; 1.01 absorbs the 1/(1-e) inflation and rounding.
         bound = err_sum * Decimal("1.01") + Decimal(10) ** (8 - digits)
-    return value, bound, cutoffs
+        if top == hi:
+            return value, bound, cutoffs, None
+        bound += Decimal(2) ** (1 - j_cut)
+    return value, bound, cutoffs, j_cut
 
 
 def density_exact(k: int, n: int, tol: float) -> DensityReport:
     """Density of k x n integer matrices extendable to GL_n(Z).
 
     Zero exactly for k = n; otherwise prod_{j=n-k+1}^{n} zeta(j)^(-1)
-    evaluated with absolute error at most tol.
+    evaluated with absolute error at most tol. Factors past the cutoff of
+    _inverse_zeta_product are folded into the error bound, which then
+    reports that cutoff as product_cutoff, so the cost does not grow with k.
     """
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     tol = _tolerance(tol)
     if k == n:
         return DensityReport(Decimal(0), Decimal(0), {"zeta_series_cutoffs": {}, "product_cutoff": None})
-    value, bound, cutoffs = _inverse_zeta_product(n - k + 1, n, tol)
-    return DensityReport(value, bound, {"zeta_series_cutoffs": cutoffs, "product_cutoff": None})
+    value, bound, cutoffs, j_cut = _inverse_zeta_product(n - k + 1, n, tol)
+    return DensityReport(value, bound, {"zeta_series_cutoffs": cutoffs, "product_cutoff": j_cut})
 
 
 def density_limit(d: int, tol: float) -> DensityReport:
@@ -248,17 +266,11 @@ def density_limit(d: int, tol: float) -> DensityReport:
     prod_{j=d+1}^{infinity} zeta(j)^(-1), with absolute error <= tol.
 
     The product is truncated at J = max(d + 1, 40, ceil(log2(1/tol)) + 2),
-    so it keeps at least one factor; the dropped factor lies within 2^(1-J)
-    <= tol/2 of 1 because ln zeta(j) <= zeta(j) - 1 <= 2^(1-j) for j >= 3.
+    the cutoff of _inverse_zeta_product, so it keeps at least one factor.
     """
     if not isinstance(d, int) or d < 1:
         raise ValueError(f"codimension must be an integer >= 1, got {d}")
-    tol = _tolerance(tol)
-    j_cut = max(d + 1, 40, math.ceil(-math.log2(tol)) + 2)
-    value, bound, cutoffs = _inverse_zeta_product(d + 1, j_cut, tol)
-    with localcontext() as ctx:
-        ctx.prec = _working_digits(tol)
-        bound += Decimal(2) ** (1 - j_cut)
+    value, bound, cutoffs, j_cut = _inverse_zeta_product(d + 1, None, _tolerance(tol))
     return DensityReport(value, bound, {"zeta_series_cutoffs": cutoffs, "product_cutoff": j_cut})
 
 

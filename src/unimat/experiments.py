@@ -4,8 +4,10 @@ Exhaustive enumeration over boxes, seeded Monte Carlo estimation,
 convergence sweeps over growing boxes, and brute-force verification of the
 mod-p full-rank counts.
 
-Sampling is counter-addressed: entry e of sample i is the 64-bit stream
-word at counter i*k*n + e, mapped onto [-B, B) by multiply-shift. The
+Sampling is counter-addressed: entry e of sample i is draw number
+i*k*n + e on [0, 2B) of the stream (see rng), shifted onto [-B, B). Up to
+B = 2^63 a draw is the one 64-bit word at counter i*k*n + e, mapped by
+multiply-shift; larger bounds take m words per draw. The
 sample set is therefore a pure function of (spec, seed); shard boundaries
 only partition the index range and can never change what is drawn, and
 unneeded words (behind a gcd short-circuit) are simply never computed.
@@ -120,8 +122,7 @@ def _theory(k: int, n: int) -> float:
 def sample_matrix(spec: BoxSpec, seed: int, index: int) -> IntMatrix:
     """Sample number `index` of the stream: the same matrix the estimators see."""
     k, n, b = spec.k, spec.n, spec.bound
-    r = 2 * b
-    ents = tuple(rng.bounded(w, r) - b for w in rng.words(seed & _MASK64, index * k * n, k * n))
+    ents = tuple(x - b for x in rng.draws(seed & _MASK64, index * k * n, k * n, 2 * b))
     return IntMatrix(k, n, ents)
 
 
@@ -133,7 +134,9 @@ def _count_hits(spec: BoxSpec, seed: int, lo: int, hi: int, stream: str) -> int:
     seed &= _MASK64
     hits = 0
     enum = stream == "enumerate"
-    if k == 1 and not enum:
+    # the inlined word loops below are the one-word draws of rng.draws
+    wide = not enum and rng.words_per_draw(r) > 1
+    if k == 1 and not enum and not wide:
         # word computations behind the gcd short-circuit are skipped entirely
         for i in range(lo, hi):
             ctr = i * kn
@@ -156,6 +159,8 @@ def _count_hits(spec: BoxSpec, seed: int, lo: int, hi: int, stream: str) -> int:
             for e in range(kn - 1, -1, -1):
                 x, d = divmod(x, r)
                 ents[e] = d - b
+        elif wide:
+            ents = [x - b for x in rng.draws(seed, i * kn, kn, r)]
         else:
             base = i * kn
             for e in range(kn):

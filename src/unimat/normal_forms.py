@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .matrix import IntMatrix, full_rank_minor_gcd
+from .matrix import IntMatrix, _xgcd, full_rank_minor_gcd
 
 
 class NotUnimodularError(ValueError):
@@ -61,21 +61,6 @@ class SnfResult:
     R: IntMatrix
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
-
-
 def _identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -93,11 +78,15 @@ def _matmul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
     ]
 
 
-def _column_reduce(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]], int]:
+def _column_reduce(
+    h: list[list[int]], u: list[list[int]] | None = None, v: list[list[int]] | None = None
+) -> int:
     """Reduce h in place to column-Hermite form; h may be any shape.
 
-    Returns (u, v, det) where, writing A for the input and H for the reduced
-    output, A = H @ U, H = A @ V, V = U^-1, and det = det(U) = det(V) = +-1.
+    Writing A for the input and H for the reduced output, A = H @ U and
+    H = A @ V with V = U^-1. The caller passes the n x n identity as u to
+    have U built in place, or as v for V, and None for a transform it does
+    not keep. Returns det(U) = det(V) = +-1.
 
     Rows are processed bottom-up; each row that is not zero on the remaining
     active columns collects the gcd of those entries into the rightmost free
@@ -105,14 +94,13 @@ def _column_reduce(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
     the pivot. Processed rows are never disturbed afterwards: every later
     operation only combines columns in which they vanish.
     """
-    k = len(h)
     n = len(h[0])
-    u = _identity_rows(n)
-    v = _identity_rows(n)
+    # V's columns move with H's, so the same column steps update both
+    col_ops = h if v is None else h + v
     det = 1
 
     pc = n - 1  # rightmost column not yet claimed by a pivot
-    for i in range(k - 1, -1, -1):
+    for i in range(len(h) - 1, -1, -1):
         if pc < 0:
             break
         row = h[i]
@@ -122,38 +110,33 @@ def _column_reduce(h: list[list[int]]) -> tuple[list[list[int]], list[list[int]]
             a, b = row[pc], row[j]
             g, x, y = _xgcd(a, b)
             p, q = -(b // g), a // g  # det [[x, p], [y, q]] = (x*a + y*b)/g = 1
-            for hr in h:
+            for hr in col_ops:
                 hp, hj = hr[pc], hr[j]
                 hr[pc] = x * hp + y * hj
                 hr[j] = p * hp + q * hj
-            for vr in v:
-                vp, vj = vr[pc], vr[j]
-                vr[pc] = x * vp + y * vj
-                vr[j] = p * vp + q * vj
-            up, uj = u[pc], u[j]
-            u[pc] = [q * up[c] - p * uj[c] for c in range(n)]
-            u[j] = [x * uj[c] - y * up[c] for c in range(n)]
+            if u is not None:
+                up, uj = u[pc], u[j]
+                u[pc] = [q * up[c] - p * uj[c] for c in range(n)]
+                u[j] = [x * uj[c] - y * up[c] for c in range(n)]
         g = row[pc]
         if g == 0:
             continue  # no pivot for this row; the column stays available
         if g < 0:
             g = -g
-            for hr in h:
+            for hr in col_ops:
                 hr[pc] = -hr[pc]
-            for vr in v:
-                vr[pc] = -vr[pc]
-            u[pc] = [-c for c in u[pc]]
+            if u is not None:
+                u[pc] = [-c for c in u[pc]]
             det = -det
         for j in range(pc + 1, n):
             q = row[j] // g  # floor division leaves row[j] mod g in [0, g)
             if q:
-                for hr in h:
+                for hr in col_ops:
                     hr[j] -= q * hr[pc]
-                for vr in v:
-                    vr[j] -= q * vr[pc]
-                u[pc] = [u[pc][c] + q * u[j][c] for c in range(n)]
+                if u is not None:
+                    u[pc] = [u[pc][c] + q * u[j][c] for c in range(n)]
         pc -= 1
-    return u, v, det
+    return det
 
 
 def hnf(a: IntMatrix) -> HnfResult:
@@ -161,7 +144,8 @@ def hnf(a: IntMatrix) -> HnfResult:
     if a.rows > a.cols:
         raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
     h = a.to_rows()
-    u, _, det = _column_reduce(h)
+    u = _identity_rows(a.cols)
+    det = _column_reduce(h, u=u)
     return HnfResult(IntMatrix.from_rows(h), IntMatrix.from_rows(u), det)
 
 
@@ -238,12 +222,14 @@ def snf(a: IntMatrix) -> SnfResult:
     r_rows = _identity_rows(n)
 
     for _ in range(200):
-        _, v, _ = _column_reduce(s)
+        v = _identity_rows(n)
+        _column_reduce(s, v=v)
         r_rows = _matmul_rows(r_rows, v)
         if _diagonal_positions(s) is not None:
             break
         t = _transpose_rows(s)
-        _, v, _ = _column_reduce(t)
+        v = _identity_rows(k)
+        _column_reduce(t, v=v)
         s = _transpose_rows(t)
         l_rows = _matmul_rows(_transpose_rows(v), l_rows)
         if _diagonal_positions(s) is not None:

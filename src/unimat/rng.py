@@ -15,8 +15,14 @@ Reference vectors (seed 0): the first three words are
 
 Bounded integers come from the multiply-shift map
 ((word * r) >> 64), which sends a 64-bit word to [0, r) with bias below
-r / 2^64 -- negligible against sampling noise for every box used here, and
-it consumes exactly one word per draw, which keeps counter layouts static.
+r / 2^64 (Lemire, "Fast Random Integer Generation in an Interval", ACM
+TOMACS 2019). For r <= 2^64 a draw consumes exactly one word. Larger r
+would leave most of [0, r) unreachable from one word, so a draw then
+consumes m = ceil(bits(r) / 64) + 1 consecutive words w_0 .. w_(m-1),
+read as the big-endian integer W = w_0 * 2^(64(m-1)) + ... + w_(m-1), and
+maps it to (W * r) >> (64 m), with bias below r / 2^(64 m) < 2^-64. Draw
+number t then uses the words at counters t*m .. t*m + m - 1. m depends on
+r alone, so counter layouts stay static.
 """
 
 from __future__ import annotations
@@ -59,3 +65,22 @@ def derive_seed(seed: int, index: int, salt: int) -> int:
     flows from one base seed.
     """
     return word((seed ^ salt) & _MASK64, index)
+
+
+def words_per_draw(r: int) -> int:
+    """Stream words consumed by one draw on [0, r): 1 up to r = 2^64, else
+    ceil(bits(r) / 64) + 1."""
+    return 1 if r <= 1 << 64 else (r.bit_length() + 63) // 64 + 1
+
+
+def draws(seed: int, start: int, count: int, r: int) -> list[int]:
+    """Draws start .. start+count-1 on [0, r) of the stream seeded by seed."""
+    m = words_per_draw(r)
+    ws = words(seed, start * m, count * m)
+    out = []
+    for _ in range(count):
+        big = 0
+        for _ in range(m):
+            big = (big << 64) | next(ws)
+        out.append((big * r) >> (64 * m))
+    return out

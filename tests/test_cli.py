@@ -188,6 +188,16 @@ def test_density_tol_1e30_within_one_second():
     _assert_within_bound(json.loads(proc.stdout), _mp_inverse_zeta_product(2, 50, hi=2), 1e-30)
 
 
+def test_density_cost_independent_of_k():
+    argv = ["density", "--k", "1000000000", "--n", "1000000001"]
+    proc, elapsed = _cli_subprocess(argv, 2.0)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.0
+    data = json.loads(proc.stdout)
+    assert data["terms"]["product_cutoff"] == 42
+    _assert_within_bound(data, _mp_inverse_zeta_product(2, 40), 1e-12)
+
+
 # Every tolerance the CLI accepts is answered in bounded time. 5e-324 is the
 # smallest positive float; a smaller --tol parses to 0.0 and exits 2.
 TINY_TOL_SECONDS = 10.0

@@ -136,7 +136,9 @@ def test_density_known_constants():
     assert abs(rep.value - Decimal("0.505739038024")) < Decimal("1e-9")
 
 
-@pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 6), (4, 9)])
+# (50, 60) and (99, 100) reach past the product cutoff, 40 at 1e-9 and 42
+# at 1e-12, so their last factors are folded into the error bound
+@pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (2, 4), (3, 4), (1, 6), (4, 9), (50, 60), (99, 100)])
 @pytest.mark.parametrize("tol", [1e-9, 1e-12])
 def test_density_within_bound_of_oracle(k, n, tol):
     rep = density_exact(k, n, tol)
@@ -210,6 +212,18 @@ def test_density_approaches_limit_as_n_grows():
     for a, b in zip(gaps, gaps[1:]):
         assert b < a
     assert gaps[-1] < Decimal("1e-3")
+
+
+@pytest.mark.parametrize("d", [1, 2, 5])
+def test_density_at_huge_k_agrees_with_limit(d):
+    tol = 1e-12
+    exact = density_exact(10**6, 10**6 + d, tol)
+    limit = density_limit(d, tol)
+    # the two products differ by far less than 2^-1000000 beyond the cutoff
+    assert abs(exact.value - limit.value) <= Decimal(tol)
+    assert exact.abs_error_bound <= Decimal(tol)
+    assert exact.terms["product_cutoff"] == limit.terms["product_cutoff"]
+    assert len(exact.terms["zeta_series_cutoffs"]) <= 42
 
 
 def test_count_full_rank_known_group_orders():

@@ -87,7 +87,8 @@ def test_estimate_seed_sensitivity():
 
 def test_estimate_matches_reference_route():
     # slow route: materialize each sample and run the library predicate
-    for spec in (BoxSpec(1, 3, 9), BoxSpec(2, 3, 9), BoxSpec(3, 4, 5)):
+    big = 2**70
+    for spec in (BoxSpec(1, 3, 9), BoxSpec(2, 3, 9), BoxSpec(3, 4, 5), BoxSpec(1, 2, big), BoxSpec(2, 3, big)):
         ref = sum(is_unimodular(sample_matrix(spec, 7, i)) for i in range(400))
         assert estimate_density(spec, 400, seed=7).hits == ref
 
@@ -146,6 +147,29 @@ def test_sample_matrix_layout():
     assert list(m.entries) == expect
     assert m.rows == 2 and m.cols == 3
     assert all(-50 <= e < 50 for e in m.entries)
+
+
+def test_sample_matrix_layout_past_one_word():
+    # 2B = 2^71 takes m = ceil(72 / 64) + 1 = 3 words per entry: entry e of
+    # sample i reads counters (i*k*n + e)*3 + t, t < 3, as one big-endian
+    # 192-bit integer W, and is (W * 2B) >> 192 shifted by -B
+    b = 2**70
+    m = sample_matrix(BoxSpec(2, 3, b), seed=11, index=4)
+    expect = []
+    for e in range(6):
+        w0, w1, w2 = (rng.word(11, (4 * 6 + e) * 3 + t) for t in range(3))
+        expect.append(((((w0 << 128) | (w1 << 64) | w2) * 2 * b) >> 192) - b)
+    assert list(m.entries) == expect
+    assert all(-b <= e < b for e in m.entries)
+    # the entries use the whole range, not one residue class mod 2^7
+    assert len({e % 2**7 for e in m.entries}) > 1
+
+
+def test_estimate_past_one_word_bound_matches_theory():
+    # one word per entry put every entry in one residue class mod 2^7 and
+    # reported 0 coprime pairs
+    rep = estimate_density(BoxSpec(1, 2, 2**70), 20000, seed=0, shards=2)
+    assert rep.z_score is not None and abs(rep.z_score) <= 5
 
 
 def test_sweep_structure_and_fallback():

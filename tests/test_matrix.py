@@ -4,9 +4,12 @@ cross-checked against an independent permutation-expansion oracle."""
 
 import math
 import random
+import time
 from itertools import permutations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from unimat.matrix import IntMatrix, full_rank_minor_gcd, is_unimodular, minors
 
@@ -159,6 +162,94 @@ def test_full_rank_minor_gcd_agrees_with_minorset():
         for _ in range(30):
             a = _rand_matrix(r, k, n)
             assert full_rank_minor_gcd(a) == math.gcd(*minors(a, k).values)
+    # entries with shared factors of 2 often give the first k + 1 minors a
+    # larger gcd than all minors have, which the elimination must reduce
+    for k, n in ((2, 4), (2, 6), (3, 5), (3, 7), (4, 7)):
+        for _ in range(400):
+            rows = [[r.randint(-4, 4) * r.choice((1, 2, 4)) for _ in range(n)] for _ in range(k)]
+            a = IntMatrix.from_rows(rows)
+            assert full_rank_minor_gcd(a) == math.gcd(*minors(a, k).values)
+
+
+@st.composite
+def _gcd_inputs(draw):
+    """k x n matrices, k <= 5 and n <= 9, that reach every branch of the
+    minor gcd: entries up to 2^80, rows and columns scaled by 2, 3 or 6
+    (gcd > 1, and first minors sharing more than the gcd), rank-deficient
+    inputs (gcd 0), and leading zero columns, which make the first k + 1
+    minors 0 while the rank can still be k."""
+    k = draw(st.integers(1, 5))
+    n = draw(st.integers(k, 9))
+    mag = draw(st.sampled_from([3, 2**80]))
+    rows = [draw(st.lists(st.integers(-mag, mag), min_size=n, max_size=n)) for _ in range(k)]
+    zeros = draw(st.integers(0, n - k))
+    for i in range(k):
+        rows[i][:zeros] = [0] * zeros
+        s = draw(st.sampled_from([1, 1, 2, 3, 6]))
+        rows[i] = [s * e for e in rows[i]]
+    for j in range(n):
+        s = draw(st.sampled_from([1, 1, 2, 3, 6]))
+        for row in rows:
+            row[j] *= s
+    if k > 1 and draw(st.booleans()):
+        i = draw(st.integers(0, k - 1))
+        cs = draw(st.lists(st.integers(-2, 2), min_size=k, max_size=k))
+        rows[i] = [sum(c * r[j] for t, (c, r) in enumerate(zip(cs, rows)) if t != i) for j in range(n)]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_gcd_inputs())
+# the first 3 minors have gcd 8, the answer is 4
+@example(IntMatrix.from_rows([[0, -3, -8, 0], [-4, -2, 0, -4]]))
+def test_full_rank_minor_gcd_property_against_minorset(a):
+    assert full_rank_minor_gcd(a) == math.gcd(*minors(a, a.rows).values)
+
+
+def _gl_rows(r, n, mag):
+    """A random GL_n(Z) matrix: unit lower times unit upper, rows shuffled."""
+    low = IntMatrix.from_rows([[1 if i == j else r.randint(-mag, mag) if j < i else 0 for j in range(n)] for i in range(n)])
+    up = IntMatrix.from_rows([[1 if i == j else r.randint(-mag, mag) if j > i else 0 for j in range(n)] for i in range(n)])
+    rows = (low @ up).to_rows()
+    r.shuffle(rows)
+    return rows
+
+
+def _with_minor_gcd(r, k, n, mag):
+    """(a, d): a = M @ B with det M = d and B the last k rows of a GL_n(Z)
+    matrix. Every k x k minor of a is d times one of B's, whose gcd is 1,
+    so the minor gcd of a is d (Cauchy-Binet)."""
+    diag = [r.choice((1, 2, 3, 5)) for _ in range(k)]
+    tri = IntMatrix.from_rows([[diag[i] if i == j else r.randint(-3, 3) if j > i else 0 for j in range(k)] for i in range(k)])
+    b = IntMatrix.from_rows(_gl_rows(r, n, mag)[n - k:])
+    return IntMatrix.from_rows(_gl_rows(r, k, 2)) @ tri @ b, math.prod(diag)
+
+
+@pytest.mark.parametrize("mag", [2, 2**64])
+def test_full_rank_minor_gcd_scales_past_the_minor_count(mag):
+    # C(40, 8) is about 7.7e7 minors
+    r = random.Random(mag)
+    k, n = 8, 40
+    a, d = _with_minor_gcd(r, k, n, mag)
+    # rank k - 1: every minor is 0
+    c = IntMatrix.from_rows([[r.randint(-3, 3) for _ in range(k - 1)] for _ in range(k)])
+    deficient = c @ IntMatrix.from_rows(_gl_rows(r, n, mag)[: k - 1])
+    t0 = time.perf_counter()
+    assert full_rank_minor_gcd(a) == d
+    assert full_rank_minor_gcd(deficient) == 0
+    assert time.perf_counter() - t0 < 2.0
+
+
+def test_full_rank_minor_gcd_with_zero_first_column_stays_fast():
+    # every one of the first k + 1 minors uses column 0, so they all vanish
+    # at full rank and the gcd must come from elimination alone; the minors
+    # without column 0 are those of a, so the gcd is still d
+    k, n = 24, 48
+    a, d = _with_minor_gcd(random.Random(3), k, n - 1, 2**16)
+    z = IntMatrix.from_rows([[0, *a.row(i)] for i in range(k)])
+    t0 = time.perf_counter()
+    assert full_rank_minor_gcd(z) == d
+    assert time.perf_counter() - t0 < 2.0
 
 
 def test_full_rank_minor_gcd_rejects_wide_side_down():

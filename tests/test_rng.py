@@ -78,6 +78,26 @@ def test_bounded_covers_small_range():
     assert seen == set(range(6))
 
 
+def test_words_per_draw():
+    assert [rng.words_per_draw(r) for r in (1, 2**63, 2**64)] == [1, 1, 1]
+    # ceil(bits(r) / 64) + 1
+    assert [rng.words_per_draw(r) for r in (2**64 + 1, 2**71, 2**128 - 1, 2**128)] == [3, 3, 3, 4]
+
+
+@pytest.mark.parametrize("r", [1, 6, 2**64])
+def test_one_word_draws_are_bounded(r):
+    assert rng.draws(5, 7, 30, r) == [rng.bounded(w, r) for w in rng.words(5, 7, 30)]
+
+
+def test_multi_word_draws_in_range_and_layout():
+    r = 3 * 2**100 + 1  # 102 bits: m = 3
+    ds = rng.draws(8, 10, 50, r)
+    assert all(0 <= d < r for d in ds)
+    assert ds[5:] == rng.draws(8, 15, 45, r)
+    ws = [rng.word(8, 15 * 3 + t) for t in range(3)]
+    assert ds[5] == (((ws[0] << 128) | (ws[1] << 64) | ws[2]) * r) >> 192
+
+
 def test_derive_seed_is_salted_word():
     assert rng.derive_seed(5, 3, 0xABCD) == rng.word((5 ^ 0xABCD) & _M, 3)
 
