@@ -9,8 +9,8 @@ i*k*n + e on [0, 2B) of the stream (see rng), shifted onto [-B, B). Up to
 B = 2^63 a draw is the one 64-bit word at counter i*k*n + e, mapped by
 multiply-shift; larger bounds take m words per draw. The
 sample set is therefore a pure function of (spec, seed); shard boundaries
-only partition the index range and can never change what is drawn, and
-unneeded words (behind a gcd short-circuit) are simply never computed.
+only partition the index range and can never change what is drawn. Each
+shard reads its index range as one sequential stream of draws.
 """
 
 from __future__ import annotations
@@ -29,11 +29,6 @@ DEFAULT_BUDGET = 10**8
 
 # domain separation for per-bound sub-seeds in sweeps ("SWEEP-V1")
 _SWEEP_SALT = 0x53574545502D5631
-
-_MASK64 = (1 << 64) - 1
-_G = rng.GOLDEN
-_M1 = 0xBF58476D1CE4E5B9
-_M2 = 0x94D049BB133111EB
 
 
 class BudgetError(RuntimeError):
@@ -122,94 +117,34 @@ def _theory(k: int, n: int) -> float:
 def sample_matrix(spec: BoxSpec, seed: int, index: int) -> IntMatrix:
     """Sample number `index` of the stream: the same matrix the estimators see."""
     k, n, b = spec.k, spec.n, spec.bound
-    ents = tuple(x - b for x in rng.draws(seed & _MASK64, index * k * n, k * n, 2 * b))
+    ents = tuple(x - b for x in rng.draws(seed, index * k * n, k * n, 2 * b))
     return IntMatrix(k, n, ents)
 
 
-def _count_hits(spec: BoxSpec, seed: int, lo: int, hi: int, stream: str) -> int:
+def _count_hits(spec: BoxSpec, seed: int, lo: int, hi: int) -> int:
+    """Unimodular samples among samples lo .. hi-1 of the stream."""
     k, n, b = spec.k, spec.n, spec.bound
     kn = k * n
-    r = 2 * b
-    gcd = math.gcd
-    seed &= _MASK64
+    # entries x - b, grouped kn at a time into samples
+    ents = map(b.__rsub__, rng.draws(seed, lo * kn, (hi - lo) * kn, 2 * b))
+    samples = zip(*[ents] * kn)
     hits = 0
-    enum = stream == "enumerate"
-    # the inlined word loops below are the one-word draws of rng.draws
-    wide = not enum and rng.words_per_draw(r) > 1
-    if k == 1 and not enum and not wide:
-        # word computations behind the gcd short-circuit are skipped entirely
-        for i in range(lo, hi):
-            ctr = i * kn
-            g = 0
-            for e in range(kn):
-                z = (seed + (ctr + e + 1) * _G) & _MASK64
-                z = ((z ^ (z >> 30)) * _M1) & _MASK64
-                z = ((z ^ (z >> 27)) * _M2) & _MASK64
-                w = z ^ (z >> 31)
-                g = gcd(g, ((w * r) >> 64) - b)
-                if g == 1:
-                    hits += 1
-                    break
+    if k == 1:
+        gcd = math.gcd
+        for s in samples:
+            if gcd(*s) == 1:
+                hits += 1
         return hits
     bounds = [(t * n, (t + 1) * n) for t in range(k)]
-    for i in range(lo, hi):
-        ents = [0] * kn
-        if enum:
-            x = i
-            for e in range(kn - 1, -1, -1):
-                x, d = divmod(x, r)
-                ents[e] = d - b
-        elif wide:
-            ents = [x - b for x in rng.draws(seed, i * kn, kn, r)]
-        else:
-            base = i * kn
-            for e in range(kn):
-                z = (seed + (base + e + 1) * _G) & _MASK64
-                z = ((z ^ (z >> 30)) * _M1) & _MASK64
-                z = ((z ^ (z >> 27)) * _M2) & _MASK64
-                w = z ^ (z >> 31)
-                ents[e] = ((w * r) >> 64) - b
-        if k == 1:
-            if gcd(*ents) == 1:
-                hits += 1
-        elif _minor_gcd_of_rows([ents[s:t] for s, t in bounds]) == 1:
+    for s in samples:
+        if _minor_gcd_of_rows([s[u:v] for u, v in bounds]) == 1:
             hits += 1
     return hits
 
 
-def estimate_density(
-    spec: BoxSpec,
-    samples: int,
-    seed: int,
-    shards: int = 1,
-    stream: str = "random",
+def _estimate_report(
+    spec: BoxSpec, samples: int, hits: int, seed: int, shards: int
 ) -> EstimateReport:
-    """Monte Carlo density estimate over the box.
-
-    stream="random" (the default) draws seeded samples; stream="enumerate"
-    walks the box in lattice order instead (sample i is matrix number i),
-    so samples = spec.total reproduces exhaustive_density hit-for-hit.
-    Sweeps use that for boxes smaller than the sample budget.
-    """
-    if stream not in ("random", "enumerate"):
-        raise ValueError(f"unknown stream {stream!r}")
-    if stream == "random" and samples < 100:
-        raise ValueError(f"need at least 100 samples, got {samples}")
-    if samples < 1:
-        raise ValueError(f"need at least 1 sample, got {samples}")
-    if stream == "enumerate" and samples > spec.total:
-        raise ValueError(
-            f"enumeration stream has only {spec.total} matrices, requested {samples}"
-        )
-    if shards < 1:
-        raise ValueError(f"shards must be >= 1, got {shards}")
-    if seed < 0:
-        raise ValueError(f"seed must be nonnegative, got {seed}")
-    hits = 0
-    for s in range(shards):
-        lo = samples * s // shards
-        hi = samples * (s + 1) // shards
-        hits += _count_hits(spec, seed, lo, hi, stream)
     est = hits / samples
     se = math.sqrt(est * (1 - est) / samples)
     theory = _theory(spec.k, spec.n)
@@ -218,6 +153,22 @@ def estimate_density(
     else:
         z = 0.0 if est == theory else None
     return EstimateReport(spec, samples, hits, est, se, seed, shards, theory, z)
+
+
+def estimate_density(spec: BoxSpec, samples: int, seed: int, shards: int = 1) -> EstimateReport:
+    """Monte Carlo density estimate over the box from seeded samples."""
+    if samples < 100:
+        raise ValueError(f"need at least 100 samples, got {samples}")
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
+    if seed < 0:
+        raise ValueError(f"seed must be nonnegative, got {seed}")
+    hits = 0
+    for s in range(shards):
+        lo = samples * s // shards
+        hi = samples * (s + 1) // shards
+        hits += _count_hits(spec, seed, lo, hi)
+    return _estimate_report(spec, samples, hits, seed, shards)
 
 
 def exhaustive_density(spec: BoxSpec, budget: int = DEFAULT_BUDGET) -> ExhaustiveReport:
@@ -262,12 +213,15 @@ def convergence_sweep(
             raise ValueError("bounds must be strictly increasing")
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
+    if shards < 1:
+        raise ValueError(f"shards must be >= 1, got {shards}")
     reports = []
     for idx, bound in enumerate(bounds):
         spec = BoxSpec(k, n, bound)
         sub = rng.derive_seed(seed, idx, _SWEEP_SALT)
         if spec.total <= samples:
-            reports.append(estimate_density(spec, spec.total, sub, shards, stream="enumerate"))
+            ex = exhaustive_density(spec, budget=samples)
+            reports.append(_estimate_report(spec, ex.total, ex.hits, sub, shards))
         else:
             reports.append(estimate_density(spec, samples, sub, shards))
     return reports

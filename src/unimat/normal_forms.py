@@ -61,21 +61,8 @@ class SnfResult:
     R: IntMatrix
 
 
-def _identity_rows(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 def _transpose_rows(rows: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
-
-
-def _matmul_rows(a: list[list[int]], b: list[list[int]]) -> list[list[int]]:
-    cols = len(b[0])
-    inner = len(b)
-    return [
-        [sum(ar[t] * b[t][j] for t in range(inner)) for j in range(cols)]
-        for ar in a
-    ]
 
 
 def _column_reduce(
@@ -86,7 +73,9 @@ def _column_reduce(
     Writing A for the input and H for the reduced output, A = H @ U and
     H = A @ V with V = U^-1. The caller passes the n x n identity as u to
     have U built in place, or as v for V, and None for a transform it does
-    not keep. Returns det(U) = det(V) = +-1.
+    not keep. A v that is not the identity is multiplied by V in place, so
+    a caller can accumulate a product of transforms. Returns
+    det(U) = det(V) = +-1.
 
     Rows are processed bottom-up; each row that is not zero on the remaining
     active columns collects the gcd of those entries into the rightmost free
@@ -144,7 +133,7 @@ def hnf(a: IntMatrix) -> HnfResult:
     if a.rows > a.cols:
         raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
     h = a.to_rows()
-    u = _identity_rows(a.cols)
+    u = IntMatrix.identity(a.cols).to_rows()
     det = _column_reduce(h, u=u)
     return HnfResult(IntMatrix.from_rows(h), IntMatrix.from_rows(u), det)
 
@@ -187,7 +176,7 @@ def complete_to_gl(a: IntMatrix) -> IntMatrix:
             return a
         raise NotUnimodularError(abs(d))
     res = hnf(a)
-    if not is_trivial_hnf(res.H):
+    if not _is_oi_block(res.H):  # H is canonical: no second hnf needed
         raise NotUnimodularError(full_rank_minor_gcd(a))
     # A = [O | I_k] @ U selects the last k rows of U, so U is a completion.
     return res.U
@@ -218,31 +207,32 @@ def snf(a: IntMatrix) -> SnfResult:
         raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
     k, n = a.rows, a.cols
     s = a.to_rows()
-    l_rows = _identity_rows(k)
-    r_rows = _identity_rows(n)
+    # L is kept transposed: row steps on s are column steps on its transpose
+    lt = IntMatrix.identity(k).to_rows()
+    r_rows = IntMatrix.identity(n).to_rows()
 
     for _ in range(200):
-        v = _identity_rows(n)
-        _column_reduce(s, v=v)
-        r_rows = _matmul_rows(r_rows, v)
+        _column_reduce(s, v=r_rows)
         if _diagonal_positions(s) is not None:
             break
         t = _transpose_rows(s)
-        v = _identity_rows(k)
-        _column_reduce(t, v=v)
+        _column_reduce(t, v=lt)
         s = _transpose_rows(t)
-        l_rows = _matmul_rows(_transpose_rows(v), l_rows)
         if _diagonal_positions(s) is not None:
             break
     else:
         raise RuntimeError("Smith reduction did not converge")
+    l_rows = _transpose_rows(lt)
 
     pos = _diagonal_positions(s)
     r = len(pos)
     # Repair divisibility: each fix maps an adjacent violating pair
     # (a, b) to (gcd, lcm) by explicit row/column operations, so the
-    # placement is preserved and the leading entry strictly shrinks.
-    for _ in range(10_000):
+    # placement is preserved. The loop ends: the step sorts the pair's
+    # p-exponents for every prime p, so the number of inverted pairs
+    # (l < l' with v_p(d_l) > v_p(d_l')), summed over all primes, falls by
+    # at least one each time, since a violating pair has such a prime.
+    while True:
         bad = None
         for l in range(r - 1):
             (i1, p1), (i2, p2) = pos[l], pos[l + 1]
@@ -268,8 +258,6 @@ def snf(a: IntMatrix) -> SnfResult:
         m = y * (bv // g)
         s[i2] = [s[i2][c] - m * s[i1][c] for c in range(n)]
         l_rows[i2] = [l_rows[i2][c] - m * l_rows[i1][c] for c in range(k)]
-    else:
-        raise RuntimeError("divisibility repair did not converge")
 
     factors = tuple(s[i][j] for i, j in pos)
     return SnfResult(

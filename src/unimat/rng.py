@@ -22,7 +22,8 @@ consumes m = ceil(bits(r) / 64) + 1 consecutive words w_0 .. w_(m-1),
 read as the big-endian integer W = w_0 * 2^(64(m-1)) + ... + w_(m-1), and
 maps it to (W * r) >> (64 m), with bias below r / 2^(64 m) < 2^-64. Draw
 number t then uses the words at counters t*m .. t*m + m - 1. m depends on
-r alone, so counter layouts stay static.
+r alone, so counter layouts stay static, and a contiguous range of draws is
+read as one sequential pass over its words (`draws`).
 """
 
 from __future__ import annotations
@@ -35,14 +36,6 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def word(seed: int, counter: int) -> int:
-    """The counter-th 64-bit word of the stream seeded by seed."""
-    z = (seed + (counter + 1) * GOLDEN) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
-    return z ^ (z >> 31)
-
-
 def words(seed: int, start: int, count: int) -> Iterator[int]:
     """Words start .. start+count-1 of the stream, as a generator."""
     z = (seed + start * GOLDEN) & _MASK64
@@ -51,6 +44,11 @@ def words(seed: int, start: int, count: int) -> Iterator[int]:
         w = ((z ^ (z >> 30)) * _MIX1) & _MASK64
         w = ((w ^ (w >> 27)) * _MIX2) & _MASK64
         yield w ^ (w >> 31)
+
+
+def word(seed: int, counter: int) -> int:
+    """The counter-th 64-bit word of the stream seeded by seed."""
+    return next(words(seed, counter, 1))
 
 
 def bounded(w: int, r: int) -> int:
@@ -73,14 +71,18 @@ def words_per_draw(r: int) -> int:
     return 1 if r <= 1 << 64 else (r.bit_length() + 63) // 64 + 1
 
 
-def draws(seed: int, start: int, count: int, r: int) -> list[int]:
-    """Draws start .. start+count-1 on [0, r) of the stream seeded by seed."""
+def draws(seed: int, start: int, count: int, r: int) -> Iterator[int]:
+    """Draws start .. start+count-1 on [0, r) of the stream seeded by seed,
+    as a lazy iterator over one sequential pass of the words they use."""
     m = words_per_draw(r)
     ws = words(seed, start * m, count * m)
-    out = []
-    for _ in range(count):
-        big = 0
-        for _ in range(m):
-            big = (big << 64) | next(ws)
-        out.append((big * r) >> (64 * m))
-    return out
+    if m == 1:
+        return ((w * r) >> 64 for w in ws)
+    return ((_big_endian(group) * r) >> (64 * m) for group in zip(*[ws] * m))
+
+
+def _big_endian(group: tuple[int, ...]) -> int:
+    big = 0
+    for w in group:
+        big = (big << 64) | w
+    return big

@@ -291,6 +291,17 @@ def test_snf_invariant_under_unimodular_multiplication():
         assert snf(v @ a).S == s
 
 
+def test_snf_divisibility_repair_has_no_step_cap():
+    # diag(2^142, ..., 2) is already diagonal but in reverse divisibility
+    # order: sorting it takes C(142, 2) = 10,011 gcd/lcm steps
+    n = 142
+    a = IntMatrix.from_rows([[2 ** (n - i) if i == j else 0 for j in range(n)] for i in range(n)])
+    res = snf(a)
+    assert res.invariant_factors == tuple(2**i for i in range(1, n + 1))
+    assert res.L @ a @ res.R == res.S
+    _assert_smith_placement(res.S, res.invariant_factors)
+
+
 _small_entries = st.integers(min_value=-60, max_value=60)
 
 

@@ -86,14 +86,14 @@ def test_words_per_draw():
 
 @pytest.mark.parametrize("r", [1, 6, 2**64])
 def test_one_word_draws_are_bounded(r):
-    assert rng.draws(5, 7, 30, r) == [rng.bounded(w, r) for w in rng.words(5, 7, 30)]
+    assert list(rng.draws(5, 7, 30, r)) == [rng.bounded(w, r) for w in rng.words(5, 7, 30)]
 
 
 def test_multi_word_draws_in_range_and_layout():
     r = 3 * 2**100 + 1  # 102 bits: m = 3
-    ds = rng.draws(8, 10, 50, r)
+    ds = list(rng.draws(8, 10, 50, r))
     assert all(0 <= d < r for d in ds)
-    assert ds[5:] == rng.draws(8, 15, 45, r)
+    assert ds[5:] == list(rng.draws(8, 15, 45, r))
     ws = [rng.word(8, 15 * 3 + t) for t in range(3)]
     assert ds[5] == (((ws[0] << 128) | (ws[1] << 64) | ws[2]) * r) >> 192
 
