@@ -58,19 +58,35 @@ class DensityReport:
     terms: dict
 
 
+# Miller-Rabin with the prime bases 2..41 has no strong pseudoprime below
+# this bound (Sorenson & Webster, Math. Comp. 86 (2017)); the bound itself is one.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_LIMIT = 3317044064679887385961981
+
+
 def is_prime(m: int) -> bool:
-    """Deterministic primality by trial division."""
+    """Deterministic primality for m < 3,317,044,064,679,887,385,961,981:
+    Miller-Rabin with the prime bases 2..41. Larger m raise ValueError."""
     if m < 2:
         return False
-    if m < 4:
-        return True
-    if m % 2 == 0:
-        return False
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    if m >= _MR_LIMIT:
+        raise ValueError(f"primality is decided only below {_MR_LIMIT}, got {m}")
+    for a in _MR_BASES:
+        if m % a == 0:
+            return m == a
+    d = m - 1
+    s = (d & -d).bit_length() - 1
+    d >>= s
+    for a in _MR_BASES:
+        x = pow(a, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

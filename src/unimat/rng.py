@@ -24,10 +24,23 @@ maps it to (W * r) >> (64 m), with bias below r / 2^(64 m) < 2^-64. Draw
 number t then uses the words at counters t*m .. t*m + m - 1. m depends on
 r alone, so counter layouts stay static, and a contiguous range of draws is
 read as one sequential pass over its words (`draws`).
+
+Words are computed a block of up to 2,048 counters at a time, in 128-bit
+lanes of one Python integer (counter c + i in bits 128i .. 128i + 127), and
+the finalizer runs on the whole integer at once. Every lane is masked back
+to its low 64 bits before each multiply, so a product stays below 2^128 and
+never reaches the next lane, and the bits a right shift pulls in from a
+neighbour are cleared before they are used. The map (w * r) >> 64 for
+r <= 2^64 is one more lane multiply whose high halves are the draws; a
+plain word is the draw for r = 2^64. The values are exactly those of the
+per-counter definition above; only the interpreter work per word changes.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from itertools import chain
 from typing import Iterator
 
 _MASK64 = (1 << 64) - 1
@@ -35,15 +48,40 @@ GOLDEN = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
+_BLOCK = 2048
+# _BLOCK lanes of 128 bits: _ONES holds 1 in every lane, _STEPS holds
+# (i * GOLDEN) mod 2^64 in lane i and _LANES holds 2^64 - 1 in every lane
+_ONES = int.from_bytes((b"\1" + b"\0" * 15) * _BLOCK, "little")
+_STEPS = int.from_bytes(
+    b"".join(((i * GOLDEN) & _MASK64).to_bytes(16, "little") for i in range(_BLOCK)), "little"
+)
+_LANES = _ONES * _MASK64
+
+
+def _blocks(seed: int, start: int, count: int, r: int) -> Iterator[array]:
+    """(word * r) >> 64 for the words at counters start .. start+count-1,
+    r <= 2^64, as one array of 64-bit values per block."""
+    end = start + count
+    for c in range(start, end, _BLOCK):
+        n = min(_BLOCK, end - c)
+        ones, steps, lanes = _ONES, _STEPS, _LANES
+        if n < _BLOCK:
+            cut = (1 << 128 * n) - 1
+            ones, steps, lanes = ones & cut, steps & cut, lanes & cut
+        z = (((seed + (c + 1) * GOLDEN) & _MASK64) * ones + steps) & lanes
+        z = (((z ^ (z >> 30)) & lanes) * _MIX1) & lanes
+        z = (((z ^ (z >> 27)) & lanes) * _MIX2) & lanes
+        z = ((z ^ (z >> 31)) & lanes) * r
+        halves = array("Q")
+        halves.frombytes(z.to_bytes(16 * n, "little"))
+        if sys.byteorder == "big":
+            halves.byteswap()
+        yield halves[1::2]
+
 
 def words(seed: int, start: int, count: int) -> Iterator[int]:
-    """Words start .. start+count-1 of the stream, as a generator."""
-    z = (seed + start * GOLDEN) & _MASK64
-    for _ in range(count):
-        z = (z + GOLDEN) & _MASK64
-        w = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-        w = ((w ^ (w >> 27)) * _MIX2) & _MASK64
-        yield w ^ (w >> 31)
+    """Words start .. start+count-1 of the stream, as a lazy iterator."""
+    return chain.from_iterable(_blocks(seed, start, count, 1 << 64))
 
 
 def word(seed: int, counter: int) -> int:
@@ -75,9 +113,9 @@ def draws(seed: int, start: int, count: int, r: int) -> Iterator[int]:
     """Draws start .. start+count-1 on [0, r) of the stream seeded by seed,
     as a lazy iterator over one sequential pass of the words they use."""
     m = words_per_draw(r)
-    ws = words(seed, start * m, count * m)
     if m == 1:
-        return ((w * r) >> 64 for w in ws)
+        return chain.from_iterable(_blocks(seed, start, count, r))
+    ws = words(seed, start * m, count * m)
     return ((_big_endian(group) * r) >> (64 * m) for group in zip(*[ws] * m))
 
 

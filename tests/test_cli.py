@@ -236,6 +236,20 @@ def test_local_rejects_composite(capsys):
     assert "prime" in err
 
 
+def test_local_large_prime_answers_within_two_seconds():
+    p = 10**18 + 3  # prime
+    proc, elapsed = _cli_subprocess(["local", "--primes", str(p), "--k", "1", "--n", "2"], 2.0)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 2.0
+    assert json.loads(proc.stdout)["density"] == f"{p * p - 1}/{p * p}"
+
+
+def test_local_refuses_primes_past_the_primality_limit(capsys):
+    code, _, err = _run(capsys, "local", "--primes", "3317044064679887385961981", "--k", "1", "--n", "2")
+    assert code == 2
+    assert "3317044064679887385961981" in err
+
+
 def test_estimate_json_and_determinism(capsys):
     args = ("estimate", "--k", "1", "--n", "2", "--bound", "1000000",
             "--samples", "2000", "--seed", "42")

@@ -7,6 +7,7 @@ quantities are checked exactly.
 """
 
 import math
+import random
 from decimal import Decimal
 from fractions import Fraction
 
@@ -322,3 +323,22 @@ def test_is_prime_against_sieve():
                 sieve[m] = False
     for m in range(limit + 1):
         assert is_prime(m) == sieve[m], m
+
+
+def test_is_prime_against_sympy_below_2_80():
+    r = random.Random(20100)
+    sample = [r.getrandbits(r.randrange(2, 81)) for _ in range(2000)]
+    sample += [sympy.nextprime(r.getrandbits(b)) for b in (20, 40, 64, 79) for _ in range(50)]
+    sample += [sympy.nextprime(r.getrandbits(39)) * sympy.nextprime(r.getrandbits(40)) for _ in range(50)]
+    # strong pseudoprimes to bases 2, 3, 5, 7 and to bases 2 .. 23, and Carmichael numbers
+    sample += [3215031751, 3825123056546413051, 561, 41041, 825265, 321197185]
+    for m in sample:
+        assert is_prime(m) == sympy.isprime(m), m
+
+
+def test_is_prime_refuses_the_first_strong_pseudoprime_to_bases_2_to_41():
+    psi13 = 3317044064679887385961981  # = 1287836182261 * 2575672364521
+    assert is_prime(psi13 - 2) == sympy.isprime(psi13 - 2)
+    for m in (psi13, 2**82):
+        with pytest.raises(ValueError, match=str(psi13)):
+            is_prime(m)

@@ -98,6 +98,39 @@ def test_multi_word_draws_in_range_and_layout():
     assert ds[5] == (((ws[0] << 128) | (ws[1] << 64) | ws[2]) * r) >> 192
 
 
+_BLOCK = rng._BLOCK  # counters per block of the lane kernel (2,048)
+# counts on both sides of one and two block boundaries
+BLOCK_COUNTS = [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 2 * _BLOCK + 3]
+# (seed, start): small, a seed past 2^64, and starts whose counters wrap past 2^64
+KERNEL_STARTS = [(0, 0), (0xDEADBEEF, 12345), (2**64 + 77, 3), (2**70 + 5, 9), (9, 2**64 - 1000)]
+
+
+def _reference_words(seed: int, start: int, count: int) -> list[int]:
+    """Words start .. start+count-1 from the stateful reference, advanced to
+    state seed + start * GOLDEN."""
+    nxt = _reference_stream((seed + start * 0x9E3779B97F4A7C15) & _M)
+    return [nxt() for _ in range(count)]
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+@pytest.mark.parametrize("seed,start", KERNEL_STARTS)
+def test_words_match_reference_across_blocks(seed, start, count):
+    assert list(rng.words(seed, start, count)) == _reference_words(seed, start, count)
+
+
+@pytest.mark.parametrize("count", BLOCK_COUNTS)
+@pytest.mark.parametrize("seed,start", KERNEL_STARTS)
+@pytest.mark.parametrize("r", [6, 2 * 10**6, 2**63 + 1, 2**64, 2**64 + 1])
+def test_draws_match_reference_across_blocks(seed, start, count, r):
+    m = rng.words_per_draw(r)  # 1 up to r = 2^64, then 3
+    ws = _reference_words(seed, start * m, count * m)
+    expect = [
+        (int.from_bytes(b"".join(w.to_bytes(8, "big") for w in ws[t : t + m]), "big") * r) >> (64 * m)
+        for t in range(0, len(ws), m)
+    ]
+    assert list(rng.draws(seed, start, count, r)) == expect
+
+
 def test_derive_seed_is_salted_word():
     assert rng.derive_seed(5, 3, 0xABCD) == rng.word((5 ^ 0xABCD) & _M, 3)
 
