@@ -146,11 +146,24 @@ def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     s = PrimeSet.from_iterable(args.primes)
-    q = local_density(s, args.k, args.n)
+    k, n = args.k, args.n
+    # The density's denominator divides prod_p p^S, S = (n-k+1) + ... + n.
+    # Refuse before computing it when that has more digits than str() may
+    # print, so huge k and n cost nothing.
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    digits = math.floor(k * (2 * n - k + 1) // 2 * sum(math.log10(p) for p in s.primes)) + 1
+    if limit and k <= n and digits > limit:
+        raise ValueError(
+            f"the exact density needs up to {digits} digits, past the "
+            f"limit of {limit} digits for printing an integer; use smaller k, n "
+            f"or primes, or raise the limit with the PYTHONINTMAXSTRDIGITS "
+            f"environment variable (0 removes it)"
+        )
+    q = local_density(s, k, n)
     payload = {
         "primes": [str(p) for p in s.primes],
-        "k": args.k,
-        "n": args.n,
+        "k": k,
+        "n": n,
         "density": _frac(q),
     }
     return json.dumps(payload, indent=2) + "\n", EXIT_OK

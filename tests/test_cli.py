@@ -250,6 +250,30 @@ def test_local_refuses_primes_past_the_primality_limit(capsys):
     assert "3317044064679887385961981" in err
 
 
+@pytest.mark.parametrize("k,digits", [(200, 6051), (100000, 1505165030)])
+def test_local_refuses_past_the_str_digits_limit_within_two_seconds(k, digits):
+    # the density's denominator is 2^(k(k+1)/2), with floor(log10 of it) + 1 digits
+    proc, elapsed = _cli_subprocess(["local", "--primes", "2", "--k", str(k), "--n", str(k)], 2.0)
+    assert proc.returncode == 2
+    assert elapsed < 2.0
+    assert proc.stderr == (
+        f"error: the exact density needs up to {digits} digits, past the limit of "
+        f"{sys.get_int_max_str_digits()} digits for printing an integer; use smaller k, n or "
+        "primes, or raise the limit with the PYTHONINTMAXSTRDIGITS environment variable "
+        "(0 removes it)\n"
+    )
+
+
+def test_local_answers_just_below_the_str_digits_limit(capsys):
+    # 2^(168*169/2) has 4,274 digits, 2^(169*170/2) has 4,325
+    code, out, _ = _run(capsys, "local", "--primes", "2", "--k", "168", "--n", "168")
+    assert code == 0
+    assert json.loads(out)["density"].endswith("/" + str(2 ** (168 * 169 // 2)))
+    code, _, err = _run(capsys, "local", "--primes", "2", "--k", "169", "--n", "169")
+    assert code == 2
+    assert "4325 digits" in err
+
+
 def test_estimate_json_and_determinism(capsys):
     args = ("estimate", "--k", "1", "--n", "2", "--bound", "1000000",
             "--samples", "2000", "--seed", "42")

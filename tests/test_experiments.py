@@ -106,7 +106,7 @@ def test_estimate_pinned_hits(k, n, samples, hits):
 
 
 @pytest.mark.parametrize("bound", [10**6, 2**70])
-@pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (3, 5)])
+@pytest.mark.parametrize("k,n", [(1, 2), (1, 3), (2, 3), (2, 5), (3, 5), (4, 8)])
 def test_count_hits_matches_textbook_stream(k, n, bound):
     # samples lo .. hi-1 rebuilt from the stateful generator, skipping the
     # words of samples before lo; m words per draw, big-endian

@@ -5,13 +5,13 @@ cross-checked against an independent permutation-expansion oracle."""
 import math
 import random
 import time
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unimat.matrix import IntMatrix, full_rank_minor_gcd, is_unimodular, minors
+from unimat.matrix import IntMatrix, _minor_plan, full_rank_minor_gcd, is_unimodular, minors
 
 
 def _perm_det(rows):
@@ -83,7 +83,7 @@ def test_transpose():
     assert a.transpose().transpose() == a
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_det_matches_permutation_expansion(n):
     r = random.Random(100 + n)
     for _ in range(60):
@@ -175,9 +175,9 @@ def test_full_rank_minor_gcd_agrees_with_minorset():
 def _gcd_inputs(draw):
     """k x n matrices, k <= 5 and n <= 9, that reach every branch of the
     minor gcd: entries up to 2^80, rows and columns scaled by 2, 3 or 6
-    (gcd > 1, and first minors sharing more than the gcd), rank-deficient
-    inputs (gcd 0), and leading zero columns, which make the first k + 1
-    minors 0 while the rank can still be k."""
+    (gcd > 1, and planned minors sharing more than the gcd), rank-deficient
+    inputs (gcd 0), and leading zero columns, which can make every planned
+    minor 0 while the rank is still k."""
     k = draw(st.integers(1, 5))
     n = draw(st.integers(k, 9))
     mag = draw(st.sampled_from([3, 2**80]))
@@ -198,10 +198,22 @@ def _gcd_inputs(draw):
     return IntMatrix.from_rows(rows)
 
 
+# the planned minors have gcd 6, the answer is 2
+_PLANNED_GCD_ABOVE_ANSWER = IntMatrix.from_rows([[-2, -2, 0, 2], [-2, 1, 3, -3]])
+
+
+def test_example_planned_minors_exceed_the_answer():
+    a = _PLANNED_GCD_ABOVE_ANSWER
+    planned = []
+    for sub in _minor_plan(2, 4):
+        e = [a.entries[i] for i in sub]
+        planned.append(_perm_det([e[:2], e[2:]]))
+    assert math.gcd(*planned) > math.gcd(*minors(a, 2).values)
+
+
 @settings(max_examples=300, deadline=None)
 @given(_gcd_inputs())
-# the first 3 minors have gcd 8, the answer is 4
-@example(IntMatrix.from_rows([[0, -3, -8, 0], [-4, -2, 0, -4]]))
+@example(_PLANNED_GCD_ABOVE_ANSWER)
 def test_full_rank_minor_gcd_property_against_minorset(a):
     assert full_rank_minor_gcd(a) == math.gcd(*minors(a, a.rows).values)
 
@@ -240,16 +252,38 @@ def test_full_rank_minor_gcd_scales_past_the_minor_count(mag):
     assert time.perf_counter() - t0 < 2.0
 
 
-def test_full_rank_minor_gcd_with_zero_first_column_stays_fast():
-    # every one of the first k + 1 minors uses column 0, so they all vanish
-    # at full rank and the gcd must come from elimination alone; the minors
-    # without column 0 are those of a, so the gcd is still d
+def test_full_rank_minor_gcd_with_zero_planned_minors_stays_fast():
+    # zero columns 23 and 47 meet every planned window, so every planned
+    # minor vanishes at full rank and the gcd must come from elimination
+    # alone; the minors without those columns are those of a, so the gcd is
+    # still d
     k, n = 24, 48
-    a, d = _with_minor_gcd(random.Random(3), k, n - 1, 2**16)
-    z = IntMatrix.from_rows([[0, *a.row(i)] for i in range(k)])
+    a, d = _with_minor_gcd(random.Random(3), k, n - 2, 2**16)
+    z = IntMatrix.from_rows([[*r[:23], 0, *r[23:], 0] for r in a.to_rows()])
+    assert all({23, 47} & set(sub[:k]) for sub in _minor_plan(k, n))
     t0 = time.perf_counter()
     assert full_rank_minor_gcd(z) == d
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_minor_plan_shapes():
+    # n <= k + 1: every column subset, in lexicographic order
+    for k, n in [(2, 2), (2, 3), (3, 4), (5, 5), (5, 6)]:
+        expect = [tuple(r * n + c for r in range(k) for c in cols) for cols in combinations(range(n), k)]
+        assert list(_minor_plan(k, n)) == expect
+    # n > k + 1: k + 1 distinct subsets of k distinct columns, each read in
+    # the same column order on every row
+    for k, n in [(2, 4), (2, 5), (3, 7), (4, 6), (4, 8), (4, 9), (6, 10), (6, 14), (24, 48)]:
+        _minor_plan.cache_clear()
+        t0 = time.perf_counter()
+        plan = _minor_plan(k, n)
+        assert time.perf_counter() - t0 < 0.5
+        assert len(plan) == k + 1
+        for sub in plan:
+            cols = sub[:k]
+            assert len(set(cols)) == k and all(0 <= c < n for c in cols)
+            assert sub == tuple(r * n + c for r in range(k) for c in cols)
+        assert len({frozenset(sub[:k]) for sub in plan}) == k + 1
 
 
 def test_full_rank_minor_gcd_rejects_wide_side_down():
