@@ -1,8 +1,12 @@
 """Empirical checks of the density formulas.
 
-Exhaustive enumeration over boxes, seeded Monte Carlo estimation,
-convergence sweeps over growing boxes, and brute-force verification of the
-mod-p full-rank counts.
+Exact censuses over boxes, seeded Monte Carlo estimation, convergence
+sweeps over growing boxes, and an enumerated census of the mod-p full-rank
+counts.
+
+Both censuses enumerate the first rows of a matrix (the prefix), key the
+prefix by an exact invariant that decides how many last rows complete it,
+and count those last rows once per key. Every count is exact.
 
 Sampling is counter-addressed: entry e of sample i is draw number
 i*k*n + e on [0, 2B) of the stream (see rng), shifted onto [-B, B). Up to
@@ -16,14 +20,16 @@ shard reads its index range as one sequential stream of draws.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product
+from itertools import combinations, filterfalse, product, repeat
+from operator import countOf, mul
 
 from . import rng
 from .density import PrimeSet, count_full_rank_mod_p, density_exact, is_prime, local_density
-from .matrix import IntMatrix, _minor_gcd_of_rows
+from .matrix import IntMatrix, _det_at, _minor_gcd_of_rows
 
 DEFAULT_BUDGET = 10**8
 
@@ -32,15 +38,49 @@ _SWEEP_SALT = 0x53574545502D5631
 
 
 class BudgetError(RuntimeError):
-    """Enumeration refused: it would exceed the configured budget."""
+    """Enumeration refused: it would exceed the configured budget.
 
-    def __init__(self, required: int, budget: int):
+    `name` and `power` state the number of matrices, as in "(2B)^(kn)" and
+    "2^9000000". `required` is that number when it was built, and None when
+    bit lengths alone decided the refusal.
+    """
+
+    def __init__(self, required: int | None, budget: int, name: str, power: str):
         self.required = required
         self.budget = budget
+        least = power if required is None else _int_text(required)
+        need = f"{name} = {power}" if required is None else f"{name} = {power} = {least}"
         super().__init__(
-            f"enumeration needs {required} evaluations but the budget is "
-            f"{budget}; raise the budget to at least {required} to proceed"
+            f"enumeration needs {need} matrices but the budget is "
+            f"{_int_text(budget)}; raise the budget to at least {least} to proceed"
         )
+
+
+# integers up to this many bits are printed in decimal, well inside Python's
+# default limit of 4,300 digits for converting an integer to a string
+_TEXT_BITS = 4096
+
+
+def _int_text(x: int) -> str:
+    """x in decimal, or its size as a power of 2 when x is longer."""
+    return str(x) if x.bit_length() <= _TEXT_BITS else f"(about 2^{x.bit_length() - 1})"
+
+
+def _budgeted(base: int, exponent: int, budget: int, name: str) -> int:
+    """The number base^exponent (base >= 2) of matrices to enumerate, or
+    BudgetError when it exceeds the budget.
+
+    Since base^exponent >= 2^(exponent * (bitlen(base) - 1)), a power past
+    both the budget's bits and _TEXT_BITS is refused without being built;
+    a power that is built has at most about twice those bits.
+    """
+    power = f"{_int_text(base)}^{_int_text(exponent)}"
+    if exponent * (base.bit_length() - 1) >= max(budget.bit_length(), _TEXT_BITS):
+        raise BudgetError(None, budget, name, power)
+    total = base**exponent
+    if total > budget:
+        raise BudgetError(total, budget, name, power)
+    return total
 
 
 @dataclass(frozen=True)
@@ -171,22 +211,128 @@ def estimate_density(spec: BoxSpec, samples: int, seed: int, shards: int = 1) ->
 
 
 def exhaustive_density(spec: BoxSpec, budget: int = DEFAULT_BUDGET) -> ExhaustiveReport:
-    """Exact density over the box by enumerating all (2B)^(kn) matrices."""
-    total = spec.total
-    if total > budget:
-        raise BudgetError(total, budget)
+    """Exact density over the box: every one of its (2B)^(kn) matrices is
+    counted, by the prefix census of _row_hits (k = 1) or _box_hits."""
     k, n, b = spec.k, spec.n, spec.bound
-    hits = 0
-    gcd = math.gcd
-    if k == 1:
-        for flat in product(range(-b, b), repeat=n):
-            if gcd(*flat) == 1:
-                hits += 1
-    else:
-        for flat in product(range(-b, b), repeat=k * n):
-            if _minor_gcd_of_rows(flat, k, n) == 1:
-                hits += 1
+    total = _budgeted(2 * b, k * n, budget, "(2B)^(kn)")
+    hits = _row_hits(n, b) if k == 1 else _box_hits(k, n, b)
     return ExhaustiveReport(spec, total, hits, Fraction(hits, total))
+
+
+def _row_hits(n: int, b: int) -> int:
+    """Coprime vectors in [-b, b)^n.
+
+    The first n - 1 entries are keyed by their gcd g (0 for none). Since
+    gcd(g, x) = gcd(g, x mod g), the last entries x with gcd(g, x) = 1 are
+    counted once over one period of g and multiplied, plus the partial
+    period at the top of the box; g = 0 takes the whole box as its period.
+    """
+    gcd = math.gcd
+    prefixes = Counter(gcd(*prefix) for prefix in product(range(-b, b), repeat=n - 1))
+    hits = 0
+    for g, times in prefixes.items():
+        period = g or 2 * b
+        full, part = divmod(2 * b, period)
+        coprime = countOf(map(gcd, repeat(g), range(-b, -b + period)), 1)
+        coprime_top = countOf(map(gcd, repeat(g), range(b - part, b)), 1)
+        hits += times * (full * coprime + coprime_top)
+    return hits
+
+
+@lru_cache(maxsize=64)
+def _laplace_plan(k: int, n: int) -> tuple[tuple, tuple]:
+    """Last-row Laplace expansion of the k-minors of a k x n matrix
+    (2 <= k <= n) whose first k - 1 rows are a prefix P and last row is r.
+
+    Returns (subs, forms). subs lists the (k-1)-column subsets S in
+    lexicographic order, each as the flat indices of its entries in P; the
+    minors c_S of P are the Pluecker vector c. forms has one entry per
+    k-column subset T: the k-minor on T is sum(s * c[i] * r[j]) over its
+    triples (j, s, i), where j runs over T, i indexes S = T - {j}, and s is
+    the cofactor sign (-1)^(k-1+t) of j's position t in T.
+    """
+    subs = tuple(
+        tuple(row * n + col for row in range(k - 1) for col in cols)
+        for cols in combinations(range(n), k - 1)
+    )
+    index = {cols: i for i, cols in enumerate(combinations(range(n), k - 1))}
+    forms = tuple(
+        tuple(
+            (j, (-1) ** (k - 1 + t), index[cols[:t] + cols[t + 1 :]])
+            for t, j in enumerate(cols)
+        )
+        for cols in combinations(range(n), k)
+    )
+    return subs, forms
+
+
+def _box_hits(k: int, n: int, b: int) -> int:
+    """Unimodular k x n matrices in [-b, b)^(kn), 2 <= k <= n.
+
+    Enumerates the prefixes P of k - 1 rows. By Laplace expansion along the
+    last row r, every k-minor of [P; r] is a linear form in r whose
+    coefficients are +-c_S, the (k-1)-minors of P (see _laplace_plan). So
+    the number of good last rows depends on P only through its Pluecker
+    vector c, and is counted once per c:
+      - it is 0 unless gcd(c) = 1, since gcd(c) divides every k-minor;
+      - for k < n, P's columns are sorted first: permuting the columns of
+        [P; r] jointly maps the box to itself and keeps the minor gcd;
+      - for k = n, det [P; r] = a . r for the cofactor vector a, and one
+        coordinate of r with a_j != 0 is solved for instead of searched.
+    """
+    subs, forms = _laplace_plan(k, n)
+    gcd = math.gcd
+    box = range(-b, b)
+    by_plucker: dict[tuple[int, ...], int] = {}
+    hits = 0
+    for prefix in product(box, repeat=(k - 1) * n):
+        if k < n:
+            cols = sorted(zip(*[prefix[t * n : (t + 1) * n] for t in range(k - 1)]))
+            prefix = tuple(e for row in zip(*cols) for e in row)
+        c = prefix if k == 2 else tuple(map(_det_at, repeat(prefix), subs))
+        if gcd(*c) != 1:
+            continue
+        good = by_plucker.get(c)
+        if good is None:
+            coefs = []
+            for form in forms:
+                a = [0] * n
+                for j, s, i in form:
+                    a[j] = s * c[i]
+                coefs.append(a)
+            good = by_plucker[c] = _det_hits(coefs[0], b) if k == n else _gcd_hits(coefs, b)
+        hits += good
+    return hits
+
+
+def _gcd_hits(coefs: list[list[int]], b: int) -> int:
+    """Rows r in [-b, b)^n with gcd over a in coefs of a . r equal to 1."""
+    gcd = math.gcd
+    hits = 0
+    for r in product(range(-b, b), repeat=len(coefs[0])):
+        g = 0
+        for a in coefs:
+            g = gcd(g, sum(map(mul, a, r)))
+            if g == 1:
+                hits += 1
+                break
+    return hits
+
+
+def _det_hits(a: list[int], b: int) -> int:
+    """Rows r in [-b, b)^n with a . r = +-1, for a with some a_j != 0: the
+    other coordinates are enumerated and r_j = (+-1 - rest) / a_j solved."""
+    j = max(range(len(a)), key=lambda i: abs(a[i]))
+    aj = a[j]
+    rest = a[:j] + a[j + 1 :]
+    hits = 0
+    for r in product(range(-b, b), repeat=len(rest)):
+        s = sum(map(mul, rest, r))
+        for target in (1, -1):
+            x, off = divmod(target - s, aj)
+            if not off and -b <= x < b:
+                hits += 1
+    return hits
 
 
 def convergence_sweep(
@@ -218,65 +364,28 @@ def convergence_sweep(
     for idx, bound in enumerate(bounds):
         spec = BoxSpec(k, n, bound)
         sub = rng.derive_seed(seed, idx, _SWEEP_SALT)
-        if spec.total <= samples:
+        try:
             ex = exhaustive_density(spec, budget=samples)
-            reports.append(_estimate_report(spec, ex.total, ex.hits, sub, shards))
-        else:
+        except BudgetError:
             reports.append(estimate_density(spec, samples, sub, shards))
+        else:
+            reports.append(_estimate_report(spec, ex.total, ex.hits, sub, shards))
     return reports
-
-
-def _full_rank_mod_p(flat: tuple[int, ...], k: int, n: int, p: int) -> bool:
-    """Rank of a k x n matrix over Z/pZ equals k? Entries arrive in [0, p)."""
-    if k == 1:
-        return any(flat)
-    m = [list(flat[t * n : (t + 1) * n]) for t in range(k)]
-    need = k
-    row = 0
-    for c in range(n):
-        if need > n - c:
-            return False
-        pr = -1
-        for rr in range(row, k):
-            if m[rr][c]:
-                pr = rr
-                break
-        if pr < 0:
-            continue
-        m[row], m[pr] = m[pr], m[row]
-        inv = pow(m[row][c], -1, p)
-        mrow = m[row]
-        for rr in range(row + 1, k):
-            f = (m[rr][c] * inv) % p
-            if f:
-                mrr = m[rr]
-                for cc in range(c, n):
-                    mrr[cc] = (mrr[cc] - f * mrow[cc]) % p
-        row += 1
-        need -= 1
-        if need == 0:
-            return True
-    return False
 
 
 def verify_local_density(p: int, k: int, n: int, budget: int = DEFAULT_BUDGET) -> LocalDensityCheck:
     """Census of all p^(kn) matrices over Z/pZ against the closed forms.
 
-    Counts full-rank matrices by Gaussian elimination (no formula on the
-    counting side) and compares both the count and the resulting exact
-    fraction with count_full_rank_mod_p and local_density.
+    Counts full-rank matrices row by row (no formula on the counting side,
+    see _independent_rows) and compares both the count and the resulting
+    exact fraction with count_full_rank_mod_p and local_density.
     """
     if not is_prime(p):
         raise ValueError(f"{p} is not prime")
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    total = p ** (k * n)
-    if total > budget:
-        raise BudgetError(total, budget)
-    counted = 0
-    for flat in product(range(p), repeat=k * n):
-        if _full_rank_mod_p(flat, k, n, p):
-            counted += 1
+    total = _budgeted(p, k * n, budget, "p^(kn)")
+    counted = _independent_rows({(0,) * n}, k, n, p)
     expected = count_full_rank_mod_p(p, k, n)
     empirical = Fraction(counted, total)
     formula = local_density(PrimeSet((p,)), k, n)
@@ -284,3 +393,25 @@ def verify_local_density(p: int, k: int, n: int, budget: int = DEFAULT_BUDGET) -
         p, k, n, total, counted, expected, empirical, formula,
         counted == expected and empirical == formula,
     )
+
+
+def _independent_rows(span: set[tuple[int, ...]], left: int, n: int, p: int) -> int:
+    """Ways to append `left` rows over Z/pZ to an independent prefix whose
+    F_p-combinations are `span`, keeping the rows independent.
+
+    Each of the p^n candidate rows costs one set lookup: it is independent
+    of the prefix iff it lies outside the span. A taken row's span is built
+    by enumerating span + c * row for every c, never from |span| = p^t.
+    """
+    rows = product(range(p), repeat=n)
+    if left == 1:
+        return countOf(map(span.__contains__, rows), False)
+    count = 0
+    for v in filterfalse(span.__contains__, rows):
+        multiples = [tuple(c * x % p for x in v) for c in range(1, p)]
+        wider = set(span)
+        for s in span:
+            for m in multiples:
+                wider.add(tuple([(x + y) % p for x, y in zip(s, m)]))
+        count += _independent_rows(wider, left - 1, n, p)
+    return count

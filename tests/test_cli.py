@@ -2,6 +2,7 @@
 for exact quantities, the exit-code mapping, and byte determinism. All
 invocations run main() in-process."""
 
+import contextlib
 import io
 import json
 import os
@@ -13,7 +14,10 @@ from pathlib import Path
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from test_experiments import brute_hits
 from unimat.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -327,6 +331,69 @@ def test_exhaustive_budget_exits_4(capsys):
     assert code == 4
     assert out == ""
     assert "budget" in err
+
+
+@pytest.mark.parametrize("k,power", [("3000", "2^9000000"), ("100000000", "2^10000000000000000")])
+def test_exhaustive_refuses_enormous_boxes_within_two_seconds(k, power):
+    # both exited 2 on the str-digit limit or ran past 10 s, building
+    # (2B)^(kn) before comparing it with the budget
+    argv = ["exhaustive", "--k", k, "--n", k, "--bound", "1", "--budget", "1"]
+    proc, elapsed = _cli_subprocess(argv, 10.0)
+    assert proc.returncode == 4
+    assert elapsed < 2.0
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"error: enumeration needs (2B)^(kn) = {power} matrices but the budget is 1; "
+        f"raise the budget to at least {power} to proceed\n"
+    )
+
+
+def test_exhaustive_refuses_bounds_past_the_str_digits_limit(capsys):
+    # 2B has 4,301 digits: printing it in the refusal exited 2 instead
+    bound = "9" * 4300
+    code, out, err = _run(capsys, "exhaustive", "--k", "1", "--n", "1", "--bound", bound, "--budget", bound)
+    assert (code, out) == (4, "")
+    assert err == (
+        "error: enumeration needs (2B)^(kn) = (about 2^14285)^1 matrices but the budget is "
+        "(about 2^14284); raise the budget to at least (about 2^14285)^1 to proceed\n"
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    k=st.integers(1, 4),
+    n=st.integers(1, 4),
+    bound=st.integers(0, 3),
+    budget=st.integers(0, 2 * 10**5),
+)
+def test_exhaustive_fuzz(k, n, bound, budget):
+    # every input exits 0, 2 or 4 without a traceback, and an answer equals
+    # brute force; main() raising anything fails the test. k > n, bound 0 and
+    # budget 0 are usage errors; the budget keeps answered boxes small enough
+    # for the oracle.
+    argv = ["exhaustive", "--k", str(k), "--n", str(n), "--bound", str(bound), "--budget", str(budget)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 2, 4)
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        data = json.loads(out.getvalue())
+        assert int(data["hits"]) == brute_hits(k, n, bound)
+        assert int(data["total"]) == (2 * bound) ** (k * n) <= budget
+    else:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "usage: "))
+
+
+def test_python_dash_m_unimat_runs_the_cli(capsys):
+    argv = ["exhaustive", "--k", "2", "--n", "3", "--bound", "1"]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "unimat", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert (0, proc.stdout) == _run(capsys, *argv)[:2]
 
 
 def test_sweep_json(capsys):

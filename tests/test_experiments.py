@@ -1,6 +1,10 @@
 """Empirical harness: exact small-box censuses, budget refusal, and the
 determinism/sharding contract of the Monte Carlo estimator.
 
+Both prefix censuses are checked against brute force on every matrix: the
+box census against the gcd of all minors, and the mod-p census against
+Gaussian elimination kept here.
+
 The estimator's hot loop is validated against the slow reference route
 (sample_matrix + is_unimodular), against hits built from the textbook
 stateful splitmix64 and the gcd of all minors, and against pinned hit
@@ -9,6 +13,8 @@ counts.
 
 import math
 from fractions import Fraction
+from functools import lru_cache
+from itertools import product
 
 import pytest
 
@@ -17,6 +23,7 @@ from unimat import rng
 from unimat.experiments import (
     BoxSpec,
     BudgetError,
+    DEFAULT_BUDGET,
     _count_hits,
     _estimate_report,
     convergence_sweep,
@@ -25,6 +32,7 @@ from unimat.experiments import (
     sample_matrix,
     verify_local_density,
 )
+from unimat.density import is_prime
 from unimat.matrix import IntMatrix, is_unimodular, minors
 
 
@@ -59,6 +67,63 @@ def test_exhaustive_budget_refusal():
     assert exc.value.required == 200**8
     assert exc.value.budget == 10**6
     assert str(exc.value.required) in str(exc.value)
+
+
+@pytest.mark.parametrize("k,n,digits", [(3000, 3000, "9000000"), (10**8, 10**8, "1" + "0" * 16)])
+def test_exhaustive_refuses_enormous_boxes_without_building_them(k, n, digits):
+    # (2B)^(kn) was built and then printed: past 4,300 digits str() raised
+    # ValueError, and at 2^(10^16) building it never finished
+    with pytest.raises(BudgetError) as exc:
+        exhaustive_density(BoxSpec(k, n, 1), budget=1)
+    assert exc.value.required is None
+    assert str(exc.value) == (
+        f"enumeration needs (2B)^(kn) = 2^{digits} matrices but the budget is 1; "
+        f"raise the budget to at least 2^{digits} to proceed"
+    )
+    with pytest.raises(BudgetError) as exc:
+        verify_local_density(3, k, n, budget=DEFAULT_BUDGET)
+    assert exc.value.required is None
+    assert f"p^(kn) = 3^{digits} matrices" in str(exc.value)
+
+
+def test_budget_allows_exactly_the_total():
+    assert exhaustive_density(BoxSpec(2, 3, 2), budget=4**6).total == 4**6
+    with pytest.raises(BudgetError) as exc:
+        exhaustive_density(BoxSpec(2, 3, 2), budget=4**6 - 1)
+    assert exc.value.required == 4**6
+    assert verify_local_density(3, 2, 3, budget=3**6).total == 3**6
+    with pytest.raises(BudgetError):
+        verify_local_density(3, 2, 3, budget=3**6 - 1)
+
+
+@lru_cache(maxsize=None)
+def brute_hits(k: int, n: int, b: int) -> int:
+    """Unimodular matrices in [-b, b)^(kn): the gcd of all k-minors of every
+    matrix of the box, one at a time."""
+    return sum(
+        math.gcd(*minors(IntMatrix(k, n, flat), k).values) == 1
+        for flat in product(range(-b, b), repeat=k * n)
+    )
+
+
+# every box of at most 2 * 10^5 matrices with 1 <= k <= n <= 4, B <= 3; the
+# box [-B, B) holds -B but not B, so a census that assumes a symmetric box
+# is off on it. The row boxes after them have bounds that no small gcd
+# divides, so the top of the box is a partial period for most prefixes.
+BRUTE_BOXES = [
+    (k, n, b)
+    for n in range(1, 5)
+    for k in range(1, n + 1)
+    for b in (1, 2, 3)
+    if (2 * b) ** (k * n) <= 2 * 10**5
+] + [(1, 2, 7), (1, 2, 12), (1, 2, 30), (1, 3, 5), (1, 3, 8)]
+
+
+@pytest.mark.parametrize("k,n,b", BRUTE_BOXES)
+def test_exhaustive_density_equals_brute_force(k, n, b):
+    rep = exhaustive_density(BoxSpec(k, n, b))
+    assert rep.hits == brute_hits(k, n, b)
+    assert rep.total == (2 * b) ** (k * n)
 
 
 def test_exhaustive_density_is_exact_fraction():
@@ -251,3 +316,45 @@ def test_verify_local_density_errors():
         verify_local_density(2, 3, 2)
     with pytest.raises(BudgetError):
         verify_local_density(5, 3, 3, budget=10**5)
+
+
+def _full_rank_mod_p(flat: tuple[int, ...], k: int, n: int, p: int) -> bool:
+    """Rank of a k x n matrix over Z/pZ equals k? Entries arrive in [0, p).
+    Gaussian elimination, independent of the library's enumerated spans."""
+    if k == 1:
+        return any(flat)
+    m = [list(flat[t * n : (t + 1) * n]) for t in range(k)]
+    row = 0
+    for c in range(n):
+        pr = next((rr for rr in range(row, k) if m[rr][c]), None)
+        if pr is None:
+            continue
+        m[row], m[pr] = m[pr], m[row]
+        inv = pow(m[row][c], -1, p)
+        for rr in range(row + 1, k):
+            f = m[rr][c] * inv % p
+            if f:
+                m[rr] = [(x - f * y) % p for x, y in zip(m[rr], m[row])]
+        row += 1
+        if row == k:
+            return True
+    return False
+
+
+# every (p, k, n) with p^(kn) <= 5 * 10^4 and p < 224; from p = 227 on only
+# 1 x 1 fits, whose census is the one any() test of the oracle
+LOCAL_CENSUSES = [
+    (p, k, n)
+    for p in range(2, 224)
+    if is_prime(p)
+    for n in range(1, 16)
+    for k in range(1, n + 1)
+    if p ** (k * n) <= 5 * 10**4
+]
+
+
+@pytest.mark.parametrize("p,k,n", LOCAL_CENSUSES)
+def test_verify_local_density_equals_elimination(p, k, n):
+    chk = verify_local_density(p, k, n)
+    assert chk.counted == sum(_full_rank_mod_p(f, k, n, p) for f in product(range(p), repeat=k * n))
+    assert chk.matches
