@@ -10,12 +10,16 @@ strings. Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or input errors, 3 completion refused
 because the matrix is not unimodular, 4 enumeration budget exceeded.
+
+main() may be called any number of times in one process; every call
+parses with the one parser built on the first.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -34,8 +38,15 @@ from .experiments import (
     exhaustive_density,
 )
 from .matrix import IntMatrix, full_rank_minor_gcd
-from .matrixfile import MatrixFileError, parse_matrix
-from .normal_forms import NotUnimodularError, complete_to_gl, hnf, is_trivial_hnf, snf
+from .matrixfile import parse_matrix
+from .normal_forms import (
+    NotUnimodularError,
+    SmithConvergenceError,
+    complete_to_gl,
+    hnf,
+    is_trivial_hnf,
+    snf,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -238,6 +249,7 @@ def _int_list(text: str) -> list[int]:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """A new parser for the unimat command line, owned by the caller."""
     parser = argparse.ArgumentParser(
         prog="unimat",
         description="Exact unimodularity analysis and density experiments "
@@ -309,10 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser main() shares across calls, built on first use.
+
+    Sharing is safe because parse_args keeps no state between calls: each
+    call fills a new Namespace and every default is immutable.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
@@ -329,13 +350,7 @@ def main(argv: list[str] | None = None) -> int:
         }
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_NOT_UNIMODULAR
-    except MatrixFileError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OverflowError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
+    except (ValueError, OverflowError, OSError, SmithConvergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(out)

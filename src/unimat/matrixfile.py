@@ -9,10 +9,12 @@ are blank after comment stripping) are skipped. Parse errors carry
 from __future__ import annotations
 
 import re
+import sys
 
 from .matrix import IntMatrix
 
 _TOKEN = re.compile(r"\S+")
+_SHOWN = 20  # leading characters of a bad token quoted in its error
 
 
 class MatrixFileError(ValueError):
@@ -39,7 +41,18 @@ def _as_int(tok: tuple[int, int, str], what: str) -> int:
     try:
         return int(text, 10)
     except ValueError:
-        raise MatrixFileError(f"{what} must be an integer, got {text!r}", line, col) from None
+        pass
+    shown = repr(text) if len(text) <= _SHOWN else repr(text[:_SHOWN]) + "..."
+    digits = (text[1:] if text[:1] in "+-" else text).replace("_", "")
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits.isdecimal() and limit and len(digits) > limit:
+        raise MatrixFileError(
+            f"{what} has {len(digits)} digits, past the limit of {limit} digits for "
+            f"reading an integer; raise the limit with the PYTHONINTMAXSTRDIGITS "
+            f"environment variable (0 removes it), got {shown}",
+            line, col,
+        )
+    raise MatrixFileError(f"{what} must be an integer, got {shown}", line, col)
 
 
 def parse_matrix(text: str) -> IntMatrix:

@@ -39,6 +39,14 @@ class NotUnimodularError(ValueError):
         )
 
 
+class SmithConvergenceError(RuntimeError):
+    """The alternating Hermite reductions of snf did not reach the Smith
+    placement within their cap of 200 rounds; no input is known to."""
+
+
+_SNF_ROUNDS = 200
+
+
 @dataclass(frozen=True)
 class HnfResult:
     """Hermite form H and transform U with A = H @ U, detU = det(U) = +-1."""
@@ -201,7 +209,8 @@ def snf(a: IntMatrix) -> SnfResult:
     Alternates column-Hermite and row-Hermite (the same kernel on the
     transpose) until the matrix is diagonal in the bottom-right placement,
     then repairs the divisibility chain with the 2x2 gcd step
-    diag(a, b) -> diag(gcd, lcm).
+    diag(a, b) -> diag(gcd, lcm). Raises SmithConvergenceError if the
+    alternation has not reached that placement after 200 rounds.
     """
     if a.rows > a.cols:
         raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
@@ -211,7 +220,7 @@ def snf(a: IntMatrix) -> SnfResult:
     lt = IntMatrix.identity(k).to_rows()
     r_rows = IntMatrix.identity(n).to_rows()
 
-    for _ in range(200):
+    for _ in range(_SNF_ROUNDS):
         _column_reduce(s, v=r_rows)
         if _diagonal_positions(s) is not None:
             break
@@ -221,7 +230,10 @@ def snf(a: IntMatrix) -> SnfResult:
         if _diagonal_positions(s) is not None:
             break
     else:
-        raise RuntimeError("Smith reduction did not converge")
+        raise SmithConvergenceError(
+            f"the Smith form did not converge within {_SNF_ROUNDS} rounds of "
+            f"alternating column and row Hermite reduction"
+        )
     l_rows = _transpose_rows(lt)
 
     pos = _diagonal_positions(s)

@@ -11,6 +11,7 @@ import sys
 import time
 from decimal import Decimal, localcontext
 from pathlib import Path
+from unittest import mock
 
 import mpmath
 import pytest
@@ -18,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from test_experiments import brute_hits
+from unimat import cli
 from unimat.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -27,6 +29,16 @@ def _run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _in_process(argv: list[str], stdin: str = "") -> tuple[int, str, str]:
+    """main(argv) on the given stdin with its stdout and stderr captured;
+    raises what main raises."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch("sys.stdin", io.StringIO(stdin)):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
 
 
 def _write(tmp_path, name, text):
@@ -372,18 +384,16 @@ def test_exhaustive_fuzz(k, n, bound, budget):
     # budget 0 are usage errors; the budget keeps answered boxes small enough
     # for the oracle.
     argv = ["exhaustive", "--k", str(k), "--n", str(n), "--bound", str(bound), "--budget", str(budget)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    code, out, err = _in_process(argv)
     assert code in (0, 2, 4)
-    assert "Traceback" not in err.getvalue()
+    assert "Traceback" not in err
     if code == 0:
-        data = json.loads(out.getvalue())
+        data = json.loads(out)
         assert int(data["hits"]) == brute_hits(k, n, bound)
         assert int(data["total"]) == (2 * bound) ** (k * n) <= budget
     else:
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith(("error: ", "usage: "))
+        assert out == ""
+        assert err.startswith(("error: ", "usage: "))
 
 
 def test_python_dash_m_unimat_runs_the_cli(capsys):
@@ -428,3 +438,190 @@ def test_usage_errors_exit_2(capsys):
 
 def test_help_exits_0(capsys):
     assert _run(capsys, "--help")[0] == 0
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+def test_analyze_entry_past_the_str_digits_limit_exits_2(tmp_path, capsys):
+    # the entry is an integer, only too long to read: the message said it was
+    # not an integer and echoed all of its digits
+    limit = sys.get_int_max_str_digits()
+    digits = limit + 700
+    path = _write(tmp_path, "m.txt", f"1 2\n{'1' * digits} 3\n")
+    code, out, err = _run(capsys, "analyze", path, "--mode", "unimodular")
+    assert (code, out) == (2, "")
+    assert err == (
+        f"error: line 2, column 1: entry has {digits} digits, past the limit of {limit} "
+        "digits for reading an integer; raise the limit with the PYTHONINTMAXSTRDIGITS "
+        "environment variable (0 removes it), got '11111111111111111111'...\n"
+    )
+
+
+def test_analyze_snf_round_cap_exits_2(tmp_path, capsys, monkeypatch):
+    # no input is known to reach the cap, so the convergence test is made to
+    # fail; the cap's RuntimeError used to escape main() as a traceback
+    monkeypatch.setattr("unimat.normal_forms._diagonal_positions", lambda s: None)
+    path = _write(tmp_path, "m.txt", "2 3\n1 2 3\n4 5 6\n")
+    code, out, err = _run(capsys, "analyze", path, "--mode", "snf")
+    assert (code, out) == (2, "")
+    assert err == (
+        "error: the Smith form did not converge within 200 rounds of alternating "
+        "column and row Hermite reduction\n"
+    )
+
+
+def _csv(values: list[int]) -> str:
+    return ",".join(map(str, values))
+
+
+# Bad values for any one option: junk, or out of range. None of them is
+# large, since 10^30 samples or columns would run for hours.
+_BAD = st.sampled_from(["", "x", "0", "-1", "-0", "1.5", "1e3", "0x10", "nan", "inf",
+                        "1e-400", "--k", " 3", "3,2", "2,4", "0,1", "xml"])
+_TOL = st.sampled_from(["1e-3", "1e-12", "1e-17"])
+_SAMPLES = st.integers(100, 1000).map(str)
+_SEED = st.integers(0, 10**6).map(str)
+_SHARDS = st.integers(1, 4).map(str)
+_FORMAT = st.sampled_from(["json", "csv"])
+_VALID = {
+    "density": {"k": st.integers(1, 4).map(str), "n": st.integers(1, 6).map(str), "tol": _TOL},
+    "limit": {"d": st.integers(1, 10).map(str), "tol": _TOL},
+    "local": {
+        "primes": st.sets(st.sampled_from([2, 3, 5, 7, 11]), min_size=1).map(sorted).map(_csv),
+        "k": st.integers(1, 3).map(str),
+        "n": st.integers(1, 4).map(str),
+    },
+    "estimate": {
+        "k": st.integers(1, 3).map(str), "n": st.integers(1, 4).map(str),
+        "bound": st.integers(1, 10).map(str), "samples": _SAMPLES,
+        "seed": _SEED, "shards": _SHARDS, "format": _FORMAT,
+    },
+    "sweep": {
+        "k": st.integers(1, 2).map(str), "n": st.integers(1, 3).map(str),
+        "bounds": st.sets(st.integers(1, 10), min_size=1, max_size=3).map(sorted).map(_csv),
+        "samples": _SAMPLES, "seed": _SEED, "shards": _SHARDS, "format": _FORMAT,
+    },
+}
+
+
+@st.composite
+def _small_argv(draw) -> list[str]:
+    """A valid argv for one of the subcommands above, or one with one
+    option dropped or given a bad value."""
+    command = draw(st.sampled_from(sorted(_VALID)))
+    values = {name: draw(v) for name, v in _VALID[command].items()}
+    broken = draw(st.sampled_from([None, *values]))
+    if broken is not None:
+        values[broken] = draw(st.none() | _BAD)
+    return [command, *(t for name, v in values.items() if v is not None for t in (f"--{name}", v))]
+
+
+@settings(max_examples=300, deadline=None)
+@given(argv=_small_argv())
+def test_small_subcommands_fuzz(argv):
+    # every argv exits with a documented code and nothing escapes main();
+    # the calls share main()'s one parser
+    code, out, err = _in_process(argv)
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert err.startswith(("error: ", "usage: ")) and "Traceback" not in err
+
+
+_BAD_ENTRY = st.sampled_from(["x", "1.5", "--", "0x1", "\u0663", "1_0", "+-1", "9" * 4400, "-" + "9" * 4400])
+
+
+@st.composite
+def _matrix_text(draw) -> str:
+    """A k x n matrix file with small entries, or one with one token
+    replaced by a bad one (junk, or more digits than str() reads by
+    default), dropped, or added."""
+    k, n = draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    toks = [str(k), str(n), *(str(draw(st.integers(-4, 4))) for _ in range(k * n))]
+    where = draw(st.integers(0, len(toks)))
+    how = draw(st.sampled_from(["keep", "replace", "drop", "add"]))
+    if how == "replace" and where < len(toks):
+        toks[where] = draw(_BAD_ENTRY)
+    elif how == "drop" and where < len(toks):
+        del toks[where]
+    elif how == "add":
+        toks.insert(where, draw(st.integers(-4, 4).map(str) | _BAD_ENTRY))
+    return " ".join(toks[:2]) + "\n" + " ".join(toks[2:]) + "\n"
+
+
+@settings(max_examples=200, deadline=None)
+@given(text=_matrix_text(), mode=st.sampled_from(["unimodular", "hnf", "snf", "complete"]))
+def test_analyze_matrix_text_fuzz(text, mode):
+    # every file exits 0, 2 or 3; an error names its token in a few dozen
+    # characters however long the token is
+    code, out, err = _in_process(["analyze", "-", "--mode", mode], stdin=text)
+    assert code in (0, 2, 3)
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and len(err) < 400
+    else:
+        assert err == "" and json.loads(out)
+
+
+def _fresh(argv: list[str]) -> tuple[int, str, str]:
+    """argv run alone by python -m unimat in a new interpreter."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "unimat", *argv], env=env,
+                          capture_output=True, text=True, timeout=30)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_main_reuses_one_parser_with_the_output_of_fresh_runs(tmp_path, monkeypatch):
+    # --help wraps to the terminal width: make it the same in both processes
+    monkeypatch.setenv("COLUMNS", "80")
+    uni = _write(tmp_path, "uni.txt", "2 3\n1 2 3\n4 5 7\n")
+    non = _write(tmp_path, "non.txt", "1 2\n2 4\n")
+    est = ["estimate", "--k", "2", "--n", "3", "--bound", "10", "--samples", "300"]
+    sweep = ["sweep", "--k", "1", "--n", "2", "--bounds", "1,5,9", "--samples", "200"]
+    # each option set by one call is left out of a later one, so a value
+    # that survived into the next parse would show
+    sequence = [
+        [*est, "--seed", "5", "--shards", "3", "--format", "csv"],
+        ["analyze", uni, "--mode", "unimodular"],
+        ["density", "--k", "2", "--n", "3", "--tol", "1e-15"],
+        [*est],
+        ["density", "--k", "1"],
+        ["analyze", uni, "--mode", "hnf"],
+        ["--help"],
+        ["density", "--k", "2", "--n", "3"],
+        ["analyze", non, "--mode", "complete"],
+        ["limit", "--d", "2", "--tol", "1e-5"],
+        ["estimate", "--help"],
+        ["limit", "--d", "2"],
+        ["local", "--primes", "2,3,5", "--k", "2", "--n", "3"],
+        ["exhaustive", "--k", "2", "--n", "4", "--bound", "3", "--budget", "1000"],
+        ["analyze", uni, "--mode", "snf"],
+        ["exhaustive", "--k", "2", "--n", "2", "--bound", "2"],
+        ["bogus"],
+        [*sweep, "--seed", "7", "--format", "csv"],
+        ["analyze", uni, "--mode", "complete"],
+        [*sweep],
+        ["local", "--primes", "2,4", "--k", "1", "--n", "2"],
+        [],
+    ]
+    builds = []
+    real_build = cli.build_parser
+
+    def counting_build():
+        builds.append(1)
+        return real_build()
+
+    cli._parser.cache_clear()
+    monkeypatch.setattr(cli, "build_parser", counting_build)
+    try:
+        runs = [_in_process(argv) for argv in sequence]
+    finally:
+        cli._parser.cache_clear()
+    assert len(builds) == 1
+    assert {code for code, _, _ in runs} == {0, 2, 3, 4}
+    for argv, run in zip(sequence, runs):
+        assert run == _fresh(argv), argv
+    # callers of build_parser own what they get
+    assert len({id(p) for p in (real_build(), real_build(), cli._parser())}) == 3

@@ -1,6 +1,7 @@
 """Matrix text format: header, whitespace, comments, and positioned errors."""
 
 import random
+import sys
 
 import pytest
 
@@ -100,3 +101,22 @@ def test_too_many_entries():
 def test_error_message_carries_position():
     e = _err("1 2\n1 z\n")
     assert str(e).startswith("line 2, column 3:")
+
+
+def test_long_tokens_are_quoted_by_their_first_20_characters():
+    e = _err("1 2\n3 " + "z" * 5000 + "\n")
+    assert str(e) == "line 2, column 3: entry must be an integer, got 'zzzzzzzzzzzzzzzzzzzz'..."
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter reads integers of any length")
+@pytest.mark.parametrize("sign,sep", [("-", ""), ("+", "_")])
+def test_signed_and_grouped_integers_past_the_str_digits_limit(sign, sep):
+    # the digit count is the one int() checks: no sign, no underscores
+    limit = sys.get_int_max_str_digits()
+    text = sign + sep.join(["9"] * (limit + 1))
+    e = _err(f"1 1\n{text}\n")
+    assert f"entry has {limit + 1} digits, past the limit of {limit} digits" in str(e)
+    assert str(e).endswith(f"got {text[:20]!r}...")
+    # one digit fewer is read
+    assert parse_matrix(f"1 1\n{text[:-2]}\n").entries == (int(text[:-2]),)
