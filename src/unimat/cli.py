@@ -9,7 +9,8 @@ are "numerator/denominator" strings, high-precision decimals are decimal
 strings. Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or input errors, 3 completion refused
-because the matrix is not unimodular, 4 enumeration budget exceeded.
+because the matrix is not unimodular, 4 enumeration or sampling budget
+exceeded.
 
 main() may be called any number of times in one process; every call
 parses with the one parser built on the first.
@@ -182,7 +183,7 @@ def _cmd_local(args: argparse.Namespace) -> tuple[str, int]:
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[str, int]:
     spec = BoxSpec(args.k, args.n, args.bound)
-    rep = estimate_density(spec, args.samples, args.seed, args.shards)
+    rep = estimate_density(spec, args.samples, args.seed, args.shards, args.budget)
     if args.format == "csv":
         return _csv_text([_estimate_csv_row(rep)]), EXIT_OK
     return json.dumps(_estimate_json(rep), indent=2) + "\n", EXIT_OK
@@ -203,7 +204,9 @@ def _cmd_exhaustive(args: argparse.Namespace) -> tuple[str, int]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
-    reps = convergence_sweep(args.k, args.n, tuple(args.bounds), args.samples, args.seed, args.shards)
+    reps = convergence_sweep(
+        args.k, args.n, tuple(args.bounds), args.samples, args.seed, args.shards, args.budget
+    )
     if args.format == "csv":
         return _csv_text([_estimate_csv_row(r) for r in reps]), EXIT_OK
     payload = {
@@ -246,6 +249,10 @@ def _int_list(text: str) -> list[int]:
         return [int(t, 10) for t in text.split(",") if t.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
+
+
+def _add_budget(p: argparse.ArgumentParser, text: str) -> None:
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET, help=text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -294,18 +301,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--shards", type=_positive_int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_budget(p, "refuse to draw more entries (samples * k * n) than this")
     p.set_defaults(func=_cmd_estimate)
 
     p = sub.add_parser("exhaustive", help="exact density over a box by full enumeration")
     p.add_argument("--k", required=True, type=_positive_int)
     p.add_argument("--n", required=True, type=_positive_int)
     p.add_argument("--bound", required=True, type=_positive_int, help="entries lie in [-B, B)")
-    p.add_argument(
-        "--budget",
-        type=_positive_int,
-        default=DEFAULT_BUDGET,
-        help="refuse boxes with more matrices than this",
-    )
+    _add_budget(p, "refuse boxes with more matrices than this")
     p.set_defaults(func=_cmd_exhaustive)
 
     p = sub.add_parser("sweep", help="estimates across growing bounds, one derived seed each")
@@ -316,6 +319,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--shards", type=_positive_int, default=1)
     p.add_argument("--format", choices=("json", "csv"), default="json")
+    _add_budget(p, "refuse to draw more entries (samples * k * n) per bound than this")
     p.set_defaults(func=_cmd_sweep)
 
     return parser

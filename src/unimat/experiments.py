@@ -13,8 +13,8 @@ i*k*n + e on [0, 2B) of the stream (see rng), shifted onto [-B, B). Up to
 B = 2^63 a draw is the one 64-bit word at counter i*k*n + e, mapped by
 multiply-shift; larger bounds take m words per draw. The
 sample set is therefore a pure function of (spec, seed); shard boundaries
-only partition the index range and can never change what is drawn. Each
-shard reads its index range as one sequential stream of draws.
+only partition the index range and can never change what is drawn, so the
+estimators read the whole range as one sequential stream of draws.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from operator import countOf, mul
 
 from . import rng
 from .density import PrimeSet, count_full_rank_mod_p, density_exact, is_prime, local_density
-from .matrix import IntMatrix, _det_at, _minor_gcd_of_rows
+from .matrix import IntMatrix, _minor_gcd_kernel, _minors_kernel
 
 DEFAULT_BUDGET = 10**8
 
@@ -38,20 +38,24 @@ _SWEEP_SALT = 0x53574545502D5631
 
 
 class BudgetError(RuntimeError):
-    """Enumeration refused: it would exceed the configured budget.
+    """Enumeration or sampling refused: it would exceed the configured budget.
 
-    `name` and `power` state the number of matrices, as in "(2B)^(kn)" and
-    "2^9000000". `required` is that number when it was built, and None when
-    bit lengths alone decided the refusal.
+    `name` and `power` state the amount of work, as in "(2B)^(kn)" and
+    "2^9000000", counted in `unit`s: matrices enumerated, or entries drawn
+    for sampling. `required` is that number when it was built, and None
+    when bit lengths alone decided the refusal.
     """
 
-    def __init__(self, required: int | None, budget: int, name: str, power: str):
+    def __init__(
+        self, required: int | None, budget: int, name: str, power: str,
+        work: str = "enumeration", unit: str = "matrices",
+    ):
         self.required = required
         self.budget = budget
         least = power if required is None else _int_text(required)
         need = f"{name} = {power}" if required is None else f"{name} = {power} = {least}"
         super().__init__(
-            f"enumeration needs {need} matrices but the budget is "
+            f"{work} needs {need} {unit} but the budget is "
             f"{_int_text(budget)}; raise the budget to at least {least} to proceed"
         )
 
@@ -81,6 +85,15 @@ def _budgeted(base: int, exponent: int, budget: int, name: str) -> int:
     if total > budget:
         raise BudgetError(total, budget, name, power)
     return total
+
+
+def _check_draws(samples: int, k: int, n: int, budget: int) -> None:
+    """BudgetError unless samples k x n matrices, samples * k * n entries,
+    fit the budget."""
+    entries = samples * k * n
+    if entries > budget:
+        power = f"{_int_text(samples)}*{_int_text(k)}*{_int_text(n)}"
+        raise BudgetError(entries, budget, "samples*k*n", power, "sampling", "entries")
 
 
 @dataclass(frozen=True)
@@ -157,28 +170,17 @@ def _theory(k: int, n: int) -> float:
 def sample_matrix(spec: BoxSpec, seed: int, index: int) -> IntMatrix:
     """Sample number `index` of the stream: the same matrix the estimators see."""
     k, n, b = spec.k, spec.n, spec.bound
-    ents = tuple(x - b for x in rng.draws(seed, index * k * n, k * n, 2 * b))
-    return IntMatrix(k, n, ents)
+    return IntMatrix(k, n, tuple(rng.signed_draws(seed, index * k * n, k * n, b)))
 
 
 def _count_hits(spec: BoxSpec, seed: int, lo: int, hi: int) -> int:
     """Unimodular samples among samples lo .. hi-1 of the stream."""
     k, n, b = spec.k, spec.n, spec.bound
     kn = k * n
-    # entries x - b, grouped kn at a time into samples
-    ents = map(b.__rsub__, rng.draws(seed, lo * kn, (hi - lo) * kn, 2 * b))
-    samples = zip(*[ents] * kn)
-    hits = 0
+    ents = rng.signed_draws(seed, lo * kn, (hi - lo) * kn, b)
     if k == 1:
-        gcd = math.gcd
-        for s in samples:
-            if gcd(*s) == 1:
-                hits += 1
-        return hits
-    for s in samples:
-        if _minor_gcd_of_rows(s, k, n) == 1:
-            hits += 1
-    return hits
+        return countOf(map(math.gcd, *[ents] * n), 1)
+    return countOf(map(_minor_gcd_kernel(k, n), zip(*[ents] * kn)), 1)
 
 
 def _estimate_report(
@@ -194,20 +196,24 @@ def _estimate_report(
     return EstimateReport(spec, samples, hits, est, se, seed, shards, theory, z)
 
 
-def estimate_density(spec: BoxSpec, samples: int, seed: int, shards: int = 1) -> EstimateReport:
-    """Monte Carlo density estimate over the box from seeded samples."""
+def estimate_density(
+    spec: BoxSpec, samples: int, seed: int, shards: int = 1, budget: int = DEFAULT_BUDGET
+) -> EstimateReport:
+    """Monte Carlo density estimate over the box from seeded samples.
+
+    Shards only partition the sample range and never change what is
+    drawn, so the range is counted once and `shards` is only reported.
+    Refuses with BudgetError, before drawing, when samples * k * n entries
+    exceed the budget.
+    """
     if samples < 100:
         raise ValueError(f"need at least 100 samples, got {samples}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
     if seed < 0:
         raise ValueError(f"seed must be nonnegative, got {seed}")
-    hits = 0
-    for s in range(shards):
-        lo = samples * s // shards
-        hi = samples * (s + 1) // shards
-        hits += _count_hits(spec, seed, lo, hi)
-    return _estimate_report(spec, samples, hits, seed, shards)
+    _check_draws(samples, spec.k, spec.n, budget)
+    return _estimate_report(spec, samples, _count_hits(spec, seed, 0, samples), seed, shards)
 
 
 def exhaustive_density(spec: BoxSpec, budget: int = DEFAULT_BUDGET) -> ExhaustiveReport:
@@ -240,30 +246,25 @@ def _row_hits(n: int, b: int) -> int:
 
 
 @lru_cache(maxsize=64)
-def _laplace_plan(k: int, n: int) -> tuple[tuple, tuple]:
+def _laplace_plan(k: int, n: int) -> tuple[tuple, ...]:
     """Last-row Laplace expansion of the k-minors of a k x n matrix
     (2 <= k <= n) whose first k - 1 rows are a prefix P and last row is r.
 
-    Returns (subs, forms). subs lists the (k-1)-column subsets S in
-    lexicographic order, each as the flat indices of its entries in P; the
-    minors c_S of P are the Pluecker vector c. forms has one entry per
-    k-column subset T: the k-minor on T is sum(s * c[i] * r[j]) over its
-    triples (j, s, i), where j runs over T, i indexes S = T - {j}, and s is
-    the cofactor sign (-1)^(k-1+t) of j's position t in T.
+    The (k-1)-minors c_S of P, over the (k-1)-column subsets S in
+    lexicographic order, are its Pluecker vector c (_minors_kernel). The
+    plan has one entry per k-column subset T: the k-minor on T is
+    sum(s * c[i] * r[j]) over its triples (j, s, i), where j runs over T,
+    i indexes S = T - {j}, and s is the cofactor sign (-1)^(k-1+t) of j's
+    position t in T.
     """
-    subs = tuple(
-        tuple(row * n + col for row in range(k - 1) for col in cols)
-        for cols in combinations(range(n), k - 1)
-    )
     index = {cols: i for i, cols in enumerate(combinations(range(n), k - 1))}
-    forms = tuple(
+    return tuple(
         tuple(
             (j, (-1) ** (k - 1 + t), index[cols[:t] + cols[t + 1 :]])
             for t, j in enumerate(cols)
         )
         for cols in combinations(range(n), k)
     )
-    return subs, forms
 
 
 def _box_hits(k: int, n: int, b: int) -> int:
@@ -280,7 +281,8 @@ def _box_hits(k: int, n: int, b: int) -> int:
       - for k = n, det [P; r] = a . r for the cofactor vector a, and one
         coordinate of r with a_j != 0 is solved for instead of searched.
     """
-    subs, forms = _laplace_plan(k, n)
+    forms = _laplace_plan(k, n)
+    plucker = _minors_kernel(k - 1, n)
     gcd = math.gcd
     box = range(-b, b)
     by_plucker: dict[tuple[int, ...], int] = {}
@@ -289,7 +291,7 @@ def _box_hits(k: int, n: int, b: int) -> int:
         if k < n:
             cols = sorted(zip(*[prefix[t * n : (t + 1) * n] for t in range(k - 1)]))
             prefix = tuple(e for row in zip(*cols) for e in row)
-        c = prefix if k == 2 else tuple(map(_det_at, repeat(prefix), subs))
+        c = plucker(prefix)
         if gcd(*c) != 1:
             continue
         good = by_plucker.get(c)
@@ -342,6 +344,7 @@ def convergence_sweep(
     samples: int,
     seed: int,
     shards: int = 1,
+    budget: int = DEFAULT_BUDGET,
 ) -> list[EstimateReport]:
     """One estimate per bound, all driven by one base seed.
 
@@ -349,7 +352,9 @@ def convergence_sweep(
     runs are reproducible yet uncorrelated across bounds. Boxes with no more
     matrices than the sample budget are enumerated exactly instead of
     sampled (their rows then carry samples = (2B)^(kn) and an exact
-    estimate).
+    estimate). Refuses with BudgetError, before any bound is drawn or
+    enumerated, when one estimate's samples * k * n entries exceed the
+    budget.
     """
     if not bounds:
         raise ValueError("need at least one bound")
@@ -360,6 +365,7 @@ def convergence_sweep(
         raise ValueError(f"need at least 100 samples, got {samples}")
     if shards < 1:
         raise ValueError(f"shards must be >= 1, got {shards}")
+    _check_draws(samples, k, n, budget)
     reports = []
     for idx, bound in enumerate(bounds):
         spec = BoxSpec(k, n, bound)
@@ -367,7 +373,7 @@ def convergence_sweep(
         try:
             ex = exhaustive_density(spec, budget=samples)
         except BudgetError:
-            reports.append(estimate_density(spec, samples, sub, shards))
+            reports.append(estimate_density(spec, samples, sub, shards, budget))
         else:
             reports.append(_estimate_report(spec, ex.total, ex.hits, sub, shards))
     return reports

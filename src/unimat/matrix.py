@@ -10,8 +10,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
-from typing import Sequence
+from itertools import combinations, repeat
+from operator import itemgetter
+from typing import Callable, Sequence
 
 
 @dataclass(frozen=True)
@@ -102,40 +103,74 @@ class MinorSet:
     values: tuple[int, ...]
 
 
+# minors up to this order have closed forms (_laplace); larger ones use
+# Bareiss elimination
+_CLOSED_MAX = 4
+
+
+def _laplace(n: int, cols: tuple[int, ...], subs: dict, lines: list[str]) -> str:
+    """Closed-form text of the minor on rows 0 .. t-1 and columns `cols`
+    (t = len(cols)) of a matrix with n columns whose entry (r, c) is the
+    local e{r*n + c}.
+
+    Expands along row t-1. Each minor on fewer rows that the expansion
+    uses becomes one local, assigned by a line appended to `lines` and
+    named in `subs` under its columns, so later minors sharing columns
+    reuse it: a 3x3 costs 9 products and a 4x4 28.
+    """
+    t = len(cols)
+    if t == 1:
+        return f"e{cols[0]}"
+    plus, minus = [], []
+    for i, c in enumerate(cols):
+        rest = cols[:i] + cols[i + 1 :]
+        name = subs.get(rest)
+        if name is None:
+            name = _laplace(n, rest, subs, lines)
+            if t > 2:
+                subs[rest] = f"m{len(subs)}"
+                lines.append(f"{subs[rest]} = {name}")
+                name = subs[rest]
+        (minus if (t - 1 + i) % 2 else plus).append(f"e{(t - 1) * n + c} * {name}")
+    return " + ".join(plus) + "".join(f" - {term}" for term in minus)
+
+
+def _compile(name: str, params: str, body: list[str], env: dict) -> Callable:
+    """The function `def name(params)` with the given body lines, whose
+    globals are env. Callers build every line from integers and fixed text,
+    never from input, so exec runs only code this module wrote; the way
+    dataclasses builds __init__."""
+    exec(f"def {name}({params}):\n" + "".join(f"    {line}\n" for line in body), env)
+    return env[name]
+
+
+# det(flat, sub) for t x t matrices, keyed by size = t * t, for t up to
+# _CLOSED_MAX; each is compiled on first use by _compile_det
+_closed_dets: dict[int, Callable[[Sequence[int], Sequence[int]], int]] = {}
+
+
+def _compile_det(size: int) -> Callable[[Sequence[int], Sequence[int]], int]:
+    """Compile, store in _closed_dets and return det(flat, sub) for t x t
+    matrices, size = t * t, from the closed form of _laplace."""
+    t = math.isqrt(size)
+    body = ["".join(f"i{i}, " for i in range(size)) + "= sub"]
+    body += [f"e{i} = flat[i{i}]" for i in range(size)]
+    expr = _laplace(t, tuple(range(t)), {}, body)
+    det = _closed_dets[size] = _compile("det", "flat, sub", [*body, f"return {expr}"], {})
+    return det
+
+
 def _det_at(flat: Sequence[int], sub: Sequence[int]) -> int:
     """Exact determinant of the t x t matrix whose entries, row-major, are
     flat[i] for i in sub.
 
-    Closed forms up to 4x4 (the 4x4 by Laplace expansion along rows 0-1,
-    six products of complementary 2x2 minors); fraction-free (Bareiss)
+    Closed forms up to 4x4 (see _laplace); fraction-free (Bareiss)
     elimination above that, so intermediate values stay integral and of
     modest size.
     """
     size = len(sub)
-    # plain indexing and unpacking: the cheapest reads for these sizes
-    if size == 4:
-        i0, i1, i2, i3 = sub
-        return flat[i0] * flat[i3] - flat[i1] * flat[i2]
-    if size == 9:
-        i0, i1, i2, i3, i4, i5, i6, i7, i8 = sub
-        a, b, c = flat[i0], flat[i1], flat[i2]
-        d, e, f = flat[i3], flat[i4], flat[i5]
-        g, h, i = flat[i6], flat[i7], flat[i8]
-        return a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g)
-    if size == 16:
-        i0, i1, i2, i3, i4, i5, i6, i7, i8, i9, i10, i11, i12, i13, i14, i15 = sub
-        a, b, c, d = flat[i0], flat[i1], flat[i2], flat[i3]
-        e, f, g, h = flat[i4], flat[i5], flat[i6], flat[i7]
-        i, j, k, l = flat[i8], flat[i9], flat[i10], flat[i11]
-        m, n, o, p = flat[i12], flat[i13], flat[i14], flat[i15]
-        return (
-            (a * f - b * e) * (k * p - l * o)
-            - (a * g - c * e) * (j * p - l * n)
-            + (a * h - d * e) * (j * o - k * n)
-            + (b * g - c * f) * (i * p - l * m)
-            - (b * h - d * f) * (i * o - k * m)
-            + (c * h - d * g) * (i * n - j * m)
-        )
+    if size <= _CLOSED_MAX * _CLOSED_MAX:
+        return (_closed_dets.get(size) or _compile_det(size))(flat, sub)
     t = math.isqrt(size)
     m = [[flat[x] for x in sub[r * t : (r + 1) * t]] for r in range(t)]
     sign = 1
@@ -202,52 +237,57 @@ def _nonzero_minor(rows: Sequence[Sequence[int]]) -> int:
 
 def _minor_gcd_mod(rows: Sequence[Sequence[int]], r: int) -> int:
     """gcd D of the k x k minors of a k x n matrix (k <= n), given a
-    multiple r > 0 of it, by column elimination modulo r without transforms.
+    multiple r > 0 of it, by elimination modulo r without transforms.
 
-    Right multiplication by GL_n(Z) keeps the column lattice L of A, whose
-    index in Z^k is D, and D | r means L contains r Z^k. Rows are taken
-    bottom-up; the row's entries on the active columns are gathered into
-    one pivot column by unimodular 2-column steps, and the row contributes
-    d = gcd(pivot, r). The part of L with that row zero has index D / d and
-    contains (r / d) Z^(k-1), so the pivot column and the row are dropped
-    and the elimination goes on modulo r / d. Every entry stays below r
-    (Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
-    Algorithm 2.4.8).
+    D | r means the column lattice L of A, whose index in Z^k is D,
+    contains r Z^k; integer row and column operations of determinant +-1
+    keep that index. Rows are taken bottom-up. A row with an entry u that
+    is a unit modulo r contributes 1: subtracting multiples of it clears
+    u's column from the rows above modulo r, so L holds the row's unit
+    vector, and D is the index of the lattice the rows above span. A row
+    with no unit is gathered into one pivot column by unimodular 2-column
+    steps, and contributes d = gcd(pivot, r). The part of L with that row
+    zero has index D / d and contains (r / d) Z^(k-1), so the pivot column
+    and the row are dropped and the elimination goes on modulo r / d.
+    Every entry an operation writes is reduced below r (Domich, Kannan &
+    Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, Algorithm 2.4.8).
+
+    The unit step costs one list pass per row above it and no gcd steps.
+    In the Monte Carlo finish r is mostly 2, 3 or 4, so most rows take it:
+    a 4x8 finish at B = 10^6 costs about 11 us, against 40 us when every
+    row was gathered by 2-column steps.
     """
-    # columns of the active part, each listed top to bottom; the current
-    # row is the last entry of every column, popped once it is done
-    cols = [list(c) for c in zip(*rows)]
+    rows = [list(row) for row in rows]
     prod = 1
-    for _ in rows:
-        cols = [[e % r for e in c] for c in cols]
+    while rows:
+        row = rows.pop()
+        units = list(map(math.gcd, row, repeat(r)))
+        if 1 in units:
+            j = units.index(1)
+            inv = pow(row[j], -1, r)
+            for other in rows:
+                f = other[j] * inv % r
+                if f:
+                    other[:] = [(x - f * y) % r for x, y in zip(other, row)]
+            continue
         piv = None
-        rest = []
-        for c in cols:
-            x = c[-1]
-            if x and piv is None:
+        for c, x in enumerate(row):
+            if not x % r:
+                continue
+            if piv is None:
                 piv = c
                 continue
-            if x:
-                a = piv[-1]
-                if x % a == 0:
-                    q = x // a
-                    c = [(cj - q * pj) % r for pj, cj in zip(piv, c)]
-                else:
-                    # [[s, -x/g], [t, a/g]] has determinant 1
-                    g, s, t = _xgcd(a, x)
-                    u, v = x // g, a // g
-                    piv, c = (
-                        [(s * pj + t * cj) % r for pj, cj in zip(piv, c)],
-                        [(v * cj - u * pj) % r for pj, cj in zip(piv, c)],
-                    )
-            c.pop()
-            rest.append(c)
-        d = math.gcd(0 if piv is None else piv[-1], r)
+            # [[s, -x/g], [t, a/g]] has determinant 1
+            g, s, t = _xgcd(row[piv], x)
+            u, v = x // g, row[piv] // g
+            for m in (*rows, row):
+                m[piv], m[c] = (s * m[piv] + t * m[c]) % r, (v * m[c] - u * m[piv]) % r
+        d = math.gcd(0 if piv is None else row[piv], r)
         prod *= d
         r //= d
         if r == 1:
             break
-        cols = rest
+        rows = [[e % r for c, e in enumerate(m) if c != piv] for m in rows]
     return prod
 
 
@@ -272,44 +312,104 @@ def _minor_plan(k: int, n: int) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(r * n + c for r in range(k) for c in cols) for cols in col_sets)
 
 
-def _minor_gcd_of_rows(flat: Sequence[int], k: int, n: int) -> int:
-    """gcd of all k x k minors of the k x n matrix (k <= n) whose rows,
-    laid end to end, are flat. The gcd of an all-zero collection is 0.
+@lru_cache(maxsize=64)
+def _minors_kernel(t: int, n: int) -> Callable[[Sequence[int]], tuple[int, ...]]:
+    """All t x t minors of t x n matrices (t <= n), column subsets in
+    lexicographic order, as one function of the flat entries, compiled on
+    first use from the closed forms of _laplace. Its size grows as 2^n, so
+    it serves the box census, whose n is small."""
+    body = ["".join(f"e{i}, " for i in range(t * n)) + "= s"]
+    subs: dict = {}
+    texts = [_laplace(n, cols, subs, body) for cols in combinations(range(n), t)]
+    return _compile("minors", "s", [*body, f"return ({', '.join(texts)},)"], {})
 
-    The gcd is accumulated over the submatrices of `_minor_plan(k, n)` and
-    returned as soon as it hits 1, since gcd(1, anything) stays 1; for
-    n <= k + 1 those are all the minors. Otherwise the running gcd g is a
-    multiple of the answer, and column elimination modulo g finishes in
-    O(k^2 n) operations instead of C(n, k) determinants. If g = 0,
-    fraction-free elimination first finds a nonzero minor to use as g, or
-    shows that the rank is below k.
 
-    For n > k + 1 the plan reads cyclic column windows rather than the
-    first k + 1 subsets in lexicographic order. Those share columns
-    0 .. k-2, so their minors often share a factor that the true gcd
-    lacks: at 4x8 with entries below 10^6, 55% of random samples fell
-    through to the modular finish with the lexicographic subsets and 25%
-    with the windows. The finish is exact for any multiple of the answer,
-    so the choice changes only the time. A Monte Carlo sample at that
-    bound, drawing included, costs about 1.9 us at 2x3, 3.8 us at 3x4 and
-    15 us at 4x8, against 3.9, 7.1 and 38 us with the lexicographic
-    subsets and a generic determinant (2-core VM, CPython 3.11.7).
+@lru_cache(maxsize=256)
+def _minor_gcd_kernel(k: int, n: int) -> Callable[[Sequence[int]], int]:
+    """The minor gcd of k x n matrices (2 <= k <= n) as one function of
+    their flat entries, compiled on first use from _minor_plan(k, n).
+
+    The body is straight-line code: one gcd line per planned minor, each
+    followed by a return of 1 when the running gcd hits 1. For k <= 4 the
+    entries the plan reads are unpacked into locals and each minor is its
+    closed form (_laplace), with the minors of the first rows computed once
+    and shared by the planned minors that contain them. For k <= 4 and
+    n <= k + 1 the plan is every minor and the body is one gcd of all of
+    them: reading each minor costs less than testing the gcd after it.
+    Past the plan, for n > k + 1, it calls _minor_gcd_finish with the
+    running gcd. For k > 4 each minor is one Bareiss determinant of its
+    planned entries.
     """
-    if k == 1:
-        return math.gcd(*flat)
-    g = 0
-    for sub in _minor_plan(k, n):
-        g = math.gcd(g, _det_at(flat, sub))
-        if g == 1:
-            return 1
-    if n <= k + 1:
-        return g
+    plan = _minor_plan(k, n)
+    env = {"gcd": math.gcd, "det": _det_at, "finish": _minor_gcd_finish}
+    body: list[str] = []
+    if k <= _CLOSED_MAX:
+        # unpack only the entries the plan reads, so that a wide matrix does
+        # not compile one local per entry
+        used = sorted(set().union(*plan))
+        env["take"] = itemgetter(*used)
+        names = "".join(f"e{i}, " for i in used)
+        body.append(f"{names}= s" if len(used) == k * n else f"{names}= take(s)")
+        subs: dict = {}
+        # lazy: each minor appends the sub-minor lines it needs to body
+        # when its text is made, just before the line that reads it
+        texts = (_laplace(n, sub[:k], subs, body) for sub in plan)
+    else:
+        env.update((f"p{i}", sub) for i, sub in enumerate(plan))
+        texts = (f"det(s, p{i})" for i in range(len(plan)))
+    if k <= _CLOSED_MAX and n <= k + 1:
+        body.append(f"return gcd({', '.join(texts)})")
+    else:
+        for i, text in enumerate(texts):
+            body += [f"g = gcd({'g, ' if i else ''}{text})", "if g == 1:", "    return 1"]
+        body.append(f"return finish(s, {k}, {n}, g)" if n > k + 1 else "return g")
+    return _compile("kernel", "s", body, env)
+
+
+def _minor_gcd_finish(flat: Sequence[int], k: int, n: int, g: int) -> int:
+    """The minor gcd of the k x n matrix with entries flat, given the gcd g
+    of some of its minors: elimination modulo g, which is a multiple of the
+    answer (_minor_gcd_mod). If g = 0, fraction-free elimination first
+    finds a nonzero minor to use as g, or shows that the rank is below k."""
     rows = [flat[t * n : (t + 1) * n] for t in range(k)]
     if g == 0:
         g = _nonzero_minor(rows)
         if g == 0:
             return 0
     return _minor_gcd_mod(rows, g)
+
+
+def _minor_gcd_of_rows(flat: Sequence[int], k: int, n: int) -> int:
+    """gcd of all k x k minors of the k x n matrix (k <= n) whose rows,
+    laid end to end, are flat. The gcd of an all-zero collection is 0.
+
+    For k >= 2 this is the compiled kernel of _minor_gcd_kernel(k, n). It
+    accumulates the gcd over the minors of `_minor_plan(k, n)` and returns
+    as soon as it hits 1, since gcd(1, anything) stays 1; for n <= k + 1
+    those are all the minors. Otherwise the running gcd g is a multiple of
+    the answer, and column elimination modulo g finishes in O(k^2 n)
+    operations instead of C(n, k) determinants.
+
+    For n > k + 1 the plan reads cyclic column windows rather than the
+    first k + 1 subsets in lexicographic order. Those share columns
+    0 .. k-2, so their minors often share a factor that the true gcd
+    lacks: at 4x8 with entries below 10^6, 55% of random samples fell
+    through to the modular finish with the lexicographic subsets and 27%
+    with the windows. The finish is exact for any multiple of the answer,
+    so the choice changes only the time.
+
+    The kernel's source holds only integers and fixed text, so the exec
+    that compiles it never sees input. Against a loop that called one
+    determinant helper per planned minor, it saves the calls, the index
+    unpacking and most tests of the running gcd. A Monte Carlo sample at
+    B = 10^6, drawing included, costs about 1.2 us at 2x3, 2.9 us at 3x4
+    and 11 us at 4x8, against 2.4, 4.9 and 19 us with that loop, a finish
+    that gathered every row and entries shifted one by one (best of 7,
+    2-core VM, CPython 3.11.7).
+    """
+    if k == 1:
+        return math.gcd(*flat)
+    return _minor_gcd_kernel(k, n)(flat)
 
 
 def minors(a: IntMatrix, t: int) -> MinorSet:

@@ -34,6 +34,14 @@ neighbour are cleared before they are used. The map (w * r) >> 64 for
 r <= 2^64 is one more lane multiply whose high halves are the draws; a
 plain word is the draw for r = 2^64. The values are exactly those of the
 per-counter definition above; only the interpreter work per word changes.
+
+Draws shifted onto [-b, b) (`signed_draws`) come from the same lanes for
+2b <= 2^64. A high half holds d in [0, 2b); adding 2^63 - b to it gives
+d - b + 2^63, which lies in [2^63 - b, 2^63 + b) and so below 2^64 while
+b <= 2^63: no lane carries into its neighbour. Flipping bit 63 of the
+half then leaves the two's complement of d - b, which reads back as a
+signed 64-bit value. Larger bounds take m words per draw and subtract b
+from each draw.
 """
 
 from __future__ import annotations
@@ -56,23 +64,31 @@ _STEPS = int.from_bytes(
     b"".join(((i * GOLDEN) & _MASK64).to_bytes(16, "little") for i in range(_BLOCK)), "little"
 )
 _LANES = _ONES * _MASK64
+_SIGNS = _ONES << 127  # bit 63 of every lane's high half
 
 
-def _blocks(seed: int, start: int, count: int, r: int) -> Iterator[array]:
-    """(word * r) >> 64 for the words at counters start .. start+count-1,
-    r <= 2^64, as one array of 64-bit values per block."""
+def _blocks(seed: int, start: int, count: int, r: int, offset: int = 0) -> Iterator[array]:
+    """((word * r) >> 64) - offset for the words at counters
+    start .. start+count-1, r <= 2^64, as one array per block: of unsigned
+    64-bit values for offset 0, else of signed ones, which needs
+    r - 2^63 <= offset <= 2^63 (see the module docstring)."""
     end = start + count
+    lift = (((1 << 63) - offset) << 64) * _ONES if offset else 0
+    signs = _SIGNS
     for c in range(start, end, _BLOCK):
         n = min(_BLOCK, end - c)
         ones, steps, lanes = _ONES, _STEPS, _LANES
         if n < _BLOCK:
             cut = (1 << 128 * n) - 1
             ones, steps, lanes = ones & cut, steps & cut, lanes & cut
+            lift, signs = lift & cut, signs & cut
         z = (((seed + (c + 1) * GOLDEN) & _MASK64) * ones + steps) & lanes
         z = (((z ^ (z >> 30)) & lanes) * _MIX1) & lanes
         z = (((z ^ (z >> 27)) & lanes) * _MIX2) & lanes
         z = ((z ^ (z >> 31)) & lanes) * r
-        halves = array("Q")
+        if offset:
+            z = (z + lift) ^ signs
+        halves = array("q" if offset else "Q")
         halves.frombytes(z.to_bytes(16 * n, "little"))
         if sys.byteorder == "big":
             halves.byteswap()
@@ -117,6 +133,14 @@ def draws(seed: int, start: int, count: int, r: int) -> Iterator[int]:
         return chain.from_iterable(_blocks(seed, start, count, r))
     ws = words(seed, start * m, count * m)
     return ((_big_endian(group) * r) >> (64 * m) for group in zip(*[ws] * m))
+
+
+def signed_draws(seed: int, start: int, count: int, b: int) -> Iterator[int]:
+    """Draws start .. start+count-1 on [0, 2b) of the stream seeded by seed,
+    each minus b: the entries of a box [-b, b), as a lazy iterator."""
+    if 2 * b <= 1 << 64:
+        return chain.from_iterable(_blocks(seed, start, count, 2 * b, b))
+    return map(b.__rsub__, draws(seed, start, count, 2 * b))
 
 
 def _big_endian(group: tuple[int, ...]) -> int:

@@ -313,6 +313,42 @@ def test_estimate_shard_flag_leaves_hits_unchanged(capsys):
     assert json.loads(out1)["hits"] == json.loads(out8)["hits"]
 
 
+@pytest.mark.parametrize("command,box", [("estimate", "--bound"), ("sweep", "--bounds")])
+def test_shards_past_the_samples_answer_in_bounded_time(capsys, command, box):
+    # shards only partition the samples; every empty shard past them cost
+    # one pass of a serial loop, so 10^8 shards ran for minutes
+    argv = [command, "--k", "1", "--n", "2", box, "10", "--samples", "100", "--seed", "3"]
+    proc, elapsed = _cli_subprocess([*argv, "--shards", "100000000"], 5.0)
+    assert proc.returncode == 0, proc.stderr
+    assert elapsed < 5.0
+    many = json.loads(proc.stdout)
+    one = json.loads(_run(capsys, *argv)[1])
+    assert many["shards"] == 100000000 and one["shards"] == 1
+    if command == "sweep":
+        many, one = many["rows"][0], one["rows"][0]
+    assert many["hits"] == one["hits"] and many["estimate"] == one["estimate"]
+
+
+@pytest.mark.parametrize("command,box", [("estimate", "--bound"), ("sweep", "--bounds")])
+def test_samples_past_the_budget_exit_4(command, box):
+    # samples * k * n entries are counted against --budget before anything
+    # is drawn; 10^30 samples used to run until killed
+    samples = 10**30
+    argv = [command, "--k", "2", "--n", "3", box, "10", "--samples", str(samples)]
+    proc, elapsed = _cli_subprocess(argv, 5.0)
+    assert (proc.returncode, proc.stdout) == (4, "")
+    assert elapsed < 5.0
+    need = samples * 6
+    assert proc.stderr == (
+        f"error: sampling needs samples*k*n = {samples}*2*3 = {need} entries but the "
+        f"budget is 100000000; raise the budget to at least {need} to proceed\n"
+    )
+    proc, _ = _cli_subprocess([*argv[:-1], "100", "--budget", "599"], 5.0)
+    assert proc.returncode == 4 and "at least 600 to proceed" in proc.stderr
+    proc, _ = _cli_subprocess([*argv[:-1], "100", "--budget", "600"], 5.0)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_estimate_csv(capsys):
     code, out, _ = _run(capsys, "estimate", "--k", "1", "--n", "2", "--bound", "100",
                         "--samples", "500", "--seed", "3", "--format", "csv")

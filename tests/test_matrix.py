@@ -11,7 +11,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from unimat.matrix import IntMatrix, _minor_plan, full_rank_minor_gcd, is_unimodular, minors
+from unimat.matrix import (
+    IntMatrix,
+    _minor_gcd_of_rows,
+    _minor_plan,
+    full_rank_minor_gcd,
+    is_unimodular,
+    minors,
+)
 
 
 def _perm_det(rows):
@@ -172,15 +179,15 @@ def test_full_rank_minor_gcd_agrees_with_minorset():
 
 
 @st.composite
-def _gcd_inputs(draw):
-    """k x n matrices, k <= 5 and n <= 9, that reach every branch of the
-    minor gcd: entries up to 2^80, rows and columns scaled by 2, 3 or 6
-    (gcd > 1, and planned minors sharing more than the gcd), rank-deficient
-    inputs (gcd 0), and leading zero columns, which can make every planned
-    minor 0 while the rank is still k."""
-    k = draw(st.integers(1, 5))
-    n = draw(st.integers(k, 9))
-    mag = draw(st.sampled_from([3, 2**80]))
+def _gcd_inputs(draw, k=None, n=None):
+    """k x n matrices, by default k <= 5 and n <= 9, that reach every branch
+    of the minor gcd: zero matrices, entries up to 2^80, rows and columns
+    scaled by 2, 3 or 6 (gcd > 1, and planned minors sharing more than the
+    gcd), rank-deficient inputs (gcd 0), and leading zero columns, which
+    can make every planned minor 0 while the rank is still k."""
+    k = draw(st.integers(1, 5)) if k is None else k
+    n = draw(st.integers(k, 9)) if n is None else n
+    mag = draw(st.sampled_from([0, 3, 3, 2**80, 2**80]))
     rows = [draw(st.lists(st.integers(-mag, mag), min_size=n, max_size=n)) for _ in range(k)]
     zeros = draw(st.integers(0, n - k))
     for i in range(k):
@@ -216,6 +223,31 @@ def test_example_planned_minors_exceed_the_answer():
 @example(_PLANNED_GCD_ABOVE_ANSWER)
 def test_full_rank_minor_gcd_property_against_minorset(a):
     assert full_rank_minor_gcd(a) == math.gcd(*minors(a, a.rows).values)
+
+
+# every shape with a compiled closed-form kernel (k <= 4), and k = 5 and 6,
+# whose kernels call Bareiss elimination per planned minor
+KERNEL_SHAPES = [(k, n) for k in range(2, 7) for n in range(k, 9)]
+
+
+@pytest.mark.parametrize("k,n", KERNEL_SHAPES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_minor_gcd_kernel_against_minorset(k, n, data):
+    a = data.draw(_gcd_inputs(k, n))
+    assert _minor_gcd_of_rows(a.entries, k, n) == math.gcd(*minors(a, k).values)
+
+
+def test_wide_matrix_kernel_reads_only_planned_entries():
+    # the plan reads at most k(k + 1) columns, so the compiled kernel
+    # unpacks those entries only; one local per entry of a 4 x 40000
+    # matrix takes about 1 s to compile
+    r = random.Random(5)
+    k, n = 4, 40000
+    rows = [[r.randint(-9, 9) * (3 if i == 0 else 1) for _ in range(n)] for i in range(k)]
+    t0 = time.perf_counter()
+    assert full_rank_minor_gcd(IntMatrix.from_rows(rows)) == 3
+    assert time.perf_counter() - t0 < 0.5
 
 
 def _gl_rows(r, n, mag):

@@ -131,6 +131,20 @@ def test_draws_match_reference_across_blocks(seed, start, count, r):
     assert list(rng.draws(seed, start, count, r)) == expect
 
 
+# 2^63 is the largest bound whose entries come from the signed lanes; one
+# past it takes m = 3 words per draw and a subtraction
+SIGNED_BOUNDS = [1, 2, 3, 10**6, 2**62, 2**63 - 1, 2**63, 2**63 + 1]
+
+
+@pytest.mark.parametrize("count", [0, 1, _BLOCK + 1, 2 * _BLOCK + 3])
+@pytest.mark.parametrize("start", [0, 3, _BLOCK - 1, _BLOCK])
+@pytest.mark.parametrize("b", SIGNED_BOUNDS)
+def test_signed_draws_are_draws_minus_b(b, start, count):
+    got = list(rng.signed_draws(0xDEADBEEF, start, count, b))
+    assert got == [x - b for x in rng.draws(0xDEADBEEF, start, count, 2 * b)]
+    assert all(-b <= e < b for e in got)
+
+
 def test_derive_seed_is_salted_word():
     assert rng.derive_seed(5, 3, 0xABCD) == rng.word((5 ^ 0xABCD) & _M, 3)
 
