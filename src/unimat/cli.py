@@ -43,9 +43,10 @@ from .matrixfile import parse_matrix
 from .normal_forms import (
     NotUnimodularError,
     SmithConvergenceError,
+    _is_oi_block,
     complete_to_gl,
     hnf,
-    is_trivial_hnf,
+    is_trivial_hnf,  # not called here; kept as a boundary perfbench traces
     snf,
 )
 
@@ -131,7 +132,7 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
         payload["H"] = _mat_json(res.H)
         payload["U"] = _mat_json(res.U)
         payload["det_U"] = str(res.detU)
-        payload["trivial"] = is_trivial_hnf(res.H)
+        payload["trivial"] = _is_oi_block(res.H)  # H is canonical: no second hnf
     elif args.mode == "snf":
         res = snf(a)
         payload["S"] = _mat_json(res.S)
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_budget(p, "refuse to draw more entries (samples * k * n) than this")
     p.set_defaults(func=_cmd_estimate)
 
-    p = sub.add_parser("exhaustive", help="exact density over a box by full enumeration")
+    p = sub.add_parser("exhaustive", help="exact density over a box, counting every matrix")
     p.add_argument("--k", required=True, type=_positive_int)
     p.add_argument("--n", required=True, type=_positive_int)
     p.add_argument("--bound", required=True, type=_positive_int, help="entries lie in [-B, B)")

@@ -309,11 +309,13 @@ def local_density(s: PrimeSet, k: int, n: int) -> Fraction:
     prod_{j=n-k+1}^{n} prod_{p in s} (1 - p^(-j))."""
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    out = Fraction(1)
+    num = den = 1
     for j in range(n - k + 1, n + 1):
         for p in s.primes:
-            out *= 1 - Fraction(1, p**j)
-    return out
+            q = p**j
+            num *= q - 1
+            den *= q
+    return Fraction(num, den)  # reduced once, not once per factor
 
 
 def divisibility_defect(p: int, k: int, n: int) -> Fraction:

@@ -4,9 +4,11 @@ Exact censuses over boxes, seeded Monte Carlo estimation, convergence
 sweeps over growing boxes, and an enumerated census of the mod-p full-rank
 counts.
 
-Both censuses enumerate the first rows of a matrix (the prefix), key the
-prefix by an exact invariant that decides how many last rows complete it,
-and count those last rows once per key. Every count is exact.
+A row box (k = 1) is counted by Moebius inversion over the gcd of the
+row, with no enumeration. The censuses of k >= 2 boxes and of matrices
+mod p enumerate the first rows of a matrix (the prefix), key the prefix
+by an exact invariant that decides how many last rows complete it, and
+count those last rows once per key. Every count is exact.
 
 Sampling is counter-addressed: entry e of sample i is draw number
 i*k*n + e on [0, 2B) of the stream (see rng), shifted onto [-B, B). Up to
@@ -20,11 +22,11 @@ estimators read the whole range as one sequential stream of draws.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, filterfalse, product, repeat
+from itertools import combinations, compress, filterfalse, product
 from operator import countOf, mul
 
 from . import rng
@@ -218,7 +220,9 @@ def estimate_density(
 
 def exhaustive_density(spec: BoxSpec, budget: int = DEFAULT_BUDGET) -> ExhaustiveReport:
     """Exact density over the box: every one of its (2B)^(kn) matrices is
-    counted, by the prefix census of _row_hits (k = 1) or _box_hits."""
+    counted, by Moebius inversion in O(B) steps for k = 1 (_row_hits) or
+    by the prefix census of _box_hits for k >= 2. The budget bounds the
+    (2B)^(kn) matrices counted, whichever way they are counted."""
     k, n, b = spec.k, spec.n, spec.bound
     total = _budgeted(2 * b, k * n, budget, "(2B)^(kn)")
     hits = _row_hits(n, b) if k == 1 else _box_hits(k, n, b)
@@ -226,23 +230,45 @@ def exhaustive_density(spec: BoxSpec, budget: int = DEFAULT_BUDGET) -> Exhaustiv
 
 
 def _row_hits(n: int, b: int) -> int:
-    """Coprime vectors in [-b, b)^n.
+    """Coprime vectors in [-b, b)^n, by Moebius inversion over their gcd.
 
-    The first n - 1 entries are keyed by their gcd g (0 for none). Since
-    gcd(g, x) = gcd(g, x mod g), the last entries x with gcd(g, x) = 1 are
-    counted once over one period of g and multiplied, plus the partial
-    period at the top of the box; g = 0 takes the whole box as its period.
+    The nonzero vectors of the box with every entry divisible by d number
+    c_d^n - 1, where c_d = (b - 1) // d + b // d + 1 counts the multiples of
+    d in [-b, b). Inverting over d <= b, the largest |entry|, gives
+    sum mu(d) * (c_d^n - 1) in O(b) steps. For n = 1 only x = +-1 count,
+    and +1 lies in the box iff b >= 2, so no sieve is built.
     """
-    gcd = math.gcd
-    prefixes = Counter(gcd(*prefix) for prefix in product(range(-b, b), repeat=n - 1))
-    hits = 0
-    for g, times in prefixes.items():
-        period = g or 2 * b
-        full, part = divmod(2 * b, period)
-        coprime = countOf(map(gcd, repeat(g), range(-b, -b + period)), 1)
-        coprime_top = countOf(map(gcd, repeat(g), range(b - part, b)), 1)
-        hits += times * (full * coprime + coprime_top)
-    return hits
+    if n == 1:
+        return 2 if b >= 2 else 1
+    return sum(m * (((b - 1) // d + b // d + 1) ** n - 1) for d, m in enumerate(_mobius(b)) if m)
+
+
+# one byte of sieve state per d: bit 0 is the parity of the number of
+# distinct primes dividing d, bit 1 is set once a square of a prime does
+_FLIP_PARITY = bytes(s ^ 1 for s in range(256))
+_MARK_SQUARE = bytes(s | 2 for s in range(256))
+_STATE_TO_MU = bytes((1, 255, 0, 0)) + bytes(252)  # 255 reads as -1 in array("b")
+
+
+def _mobius(b: int) -> array:
+    """mu(0), ..., mu(b) as signed bytes, with mu(0) = 0.
+
+    A sieve of Eratosthenes finds the primes p <= b; each one then updates
+    the states of its multiples and of the multiples of p^2 by one slice
+    translate, so the loop in Python runs once per prime, not once per d.
+    """
+    prime = bytearray([1]) * (b + 1)
+    prime[:2] = b"\0\0"
+    for p in range(2, math.isqrt(b) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, b + 1, p)))
+    state = bytearray(b + 1)
+    for p in compress(range(b + 1), prime):
+        state[p::p] = state[p::p].translate(_FLIP_PARITY)
+        state[p * p :: p * p] = state[p * p :: p * p].translate(_MARK_SQUARE)
+    mu = array("b", state.translate(_STATE_TO_MU))
+    mu[0] = 0
+    return mu
 
 
 @lru_cache(maxsize=64)

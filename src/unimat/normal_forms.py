@@ -20,8 +20,10 @@ corner (zero rows on top), d_i > 0 and d_1 | d_2 | ... | d_r.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
+# full_rank_minor_gcd is not called here; kept as a boundary perfbench traces
 from .matrix import IntMatrix, _xgcd, full_rank_minor_gcd
 
 
@@ -184,8 +186,13 @@ def complete_to_gl(a: IntMatrix) -> IntMatrix:
             return a
         raise NotUnimodularError(abs(d))
     res = hnf(a)
-    if not _is_oi_block(res.H):  # H is canonical: no second hnf needed
-        raise NotUnimodularError(full_rank_minor_gcd(a))
+    h = res.H
+    if not _is_oi_block(h):  # H is canonical: no second hnf needed
+        # A = H @ U keeps the minor gcd. At rank k, H = [O | T] with T lower
+        # triangular, so the gcd is det T, the product of its diagonal.
+        # Below rank k, the bottom-most row without a pivot is 0 on T's
+        # diagonal, and the product is 0.
+        raise NotUnimodularError(math.prod(h[i, n - k + i] for i in range(k)))
     # A = [O | I_k] @ U selects the last k rows of U, so U is a completion.
     return res.U
 

@@ -407,6 +407,20 @@ def test_exhaustive_refuses_bounds_past_the_str_digits_limit(capsys):
     )
 
 
+@pytest.mark.parametrize("argv,hits", [
+    # 2.7 s, 2.2 s and a hang when each gcd prefix was enumerated against a
+    # period of the last entry; these are the largest boxes the budgets allow
+    (["--k", "1", "--n", "2", "--bound", "5000"], "60795664"),
+    (["--k", "1", "--n", "1", "--bound", "10000000", "--budget", "20000000"], "2"),
+    (["--k", "1", "--n", "1", "--bound", "10" + "0" * 11, "--budget", "20" + "0" * 11], "2"),
+], ids=["1x2-B5000", "1x1-B10000000", "1x1-B10^12"])
+def test_exhaustive_row_boxes_answer_within_one_second(argv, hits):
+    proc, elapsed = _cli_subprocess(["exhaustive", *argv], 10.0)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["hits"] == hits
+    assert elapsed < 1.0
+
+
 @settings(max_examples=200, deadline=None)
 @given(
     k=st.integers(1, 4),

@@ -258,6 +258,28 @@ def test_local_density_equals_count_ratio(p):
             assert got == Fraction(count_full_rank_mod_p(p, k, n), p ** (k * n))
 
 
+def _local_density_per_factor(s: PrimeSet, k: int, n: int) -> Fraction:
+    """The density as one Fraction factor 1 - p^(-j) per (j, p), multiplied
+    and reduced one factor at a time."""
+    out = Fraction(1)
+    for j in range(n - k + 1, n + 1):
+        for p in s.primes:
+            out *= 1 - Fraction(1, p**j)
+    return out
+
+
+def test_local_density_equals_per_factor_product():
+    r = random.Random(4242)
+    primes = [p for p in range(2, 400) if is_prime(p)]
+    for _ in range(300):
+        s = PrimeSet(tuple(sorted(r.sample(primes, r.randint(1, 10)))))
+        n = r.randint(1, 14)
+        k = r.randint(1, n)
+        assert local_density(s, k, n) == _local_density_per_factor(s, k, n)
+        p = s.primes[0]
+        assert divisibility_defect(p, k, n) == 1 - _local_density_per_factor(PrimeSet((p,)), k, n)
+
+
 def test_local_density_multiplicative_over_primes():
     s = PrimeSet((2, 3, 5))
     got = local_density(s, 2, 3)

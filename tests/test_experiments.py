@@ -1,9 +1,11 @@
 """Empirical harness: exact small-box censuses, budget refusal, and the
 determinism/sharding contract of the Monte Carlo estimator.
 
-Both prefix censuses are checked against brute force on every matrix: the
-box census against the gcd of all minors, and the mod-p census against
-Gaussian elimination kept here.
+Both censuses are checked against brute force on every matrix: the box
+counts (Moebius inversion for k = 1, the prefix census for k >= 2)
+against the gcd of all minors, and the mod-p census against Gaussian
+elimination kept here. The Moebius values are checked against sympy's
+factorizations.
 
 The estimator's hot loop is validated against the slow reference route
 (sample_matrix + is_unimodular), against hits built from the textbook
@@ -17,6 +19,7 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from sympy import factorint
 
 from test_rng import _reference_stream
 from unimat import rng
@@ -26,6 +29,7 @@ from unimat.experiments import (
     DEFAULT_BUDGET,
     _count_hits,
     _estimate_report,
+    _mobius,
     convergence_sweep,
     estimate_density,
     exhaustive_density,
@@ -108,15 +112,26 @@ def brute_hits(k: int, n: int, b: int) -> int:
 
 # every box of at most 2 * 10^5 matrices with 1 <= k <= n <= 4, B <= 3; the
 # box [-B, B) holds -B but not B, so a census that assumes a symmetric box
-# is off on it. The row boxes after them have bounds that no small gcd
-# divides, so the top of the box is a partial period for most prefixes.
+# is off on it. The row boxes after them run every bound of 1x2 up to 12
+# and of 1x3 up to 5, so each small d appears as a divisor of the bound,
+# of the bound - 1 and of neither; n = 1 covers b = 1, where +1 is
+# outside the box.
 BRUTE_BOXES = [
     (k, n, b)
     for n in range(1, 5)
     for k in range(1, n + 1)
     for b in (1, 2, 3)
     if (2 * b) ** (k * n) <= 2 * 10**5
-] + [(1, 2, 7), (1, 2, 12), (1, 2, 30), (1, 3, 5), (1, 3, 8)]
+] + [(1, 1, 7)] + [(1, 2, b) for b in range(4, 13)] + [(1, 2, 30), (1, 3, 4), (1, 3, 5), (1, 3, 8)]
+
+
+@pytest.mark.parametrize("b", [1, 2, 3, 4, 30, 3000])
+def test_mobius_matches_factorizations(b):
+    def mu(d):
+        exps = factorint(d).values()
+        return 0 if any(e > 1 for e in exps) else (-1) ** len(exps)
+
+    assert list(_mobius(b)) == [0] + [mu(d) for d in range(1, b + 1)]
 
 
 @pytest.mark.parametrize("k,n,b", BRUTE_BOXES)

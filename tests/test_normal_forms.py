@@ -11,7 +11,7 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
@@ -331,3 +331,44 @@ def test_snf_roundtrip_property(a):
     assert abs(res.R.det()) == 1
     for x, y in zip(res.invariant_factors, res.invariant_factors[1:]):
         assert y % x == 0
+
+
+@st.composite
+def _refusal_candidates(draw):
+    """k x n matrices, k = n included, that complete_to_gl mostly refuses:
+    one row scaled by a factor >= 2, one row zeroed, or one row replaced by
+    a combination of the others, which drops the rank below k."""
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k, 5))
+    entries = st.integers(-9, 9)
+    rows = [draw(st.lists(entries, min_size=n, max_size=n)) for _ in range(k)]
+    i = draw(st.integers(0, k - 1))
+    kind = draw(st.sampled_from(("scaled", "zero", "dependent")))
+    if kind == "scaled":
+        c = draw(st.integers(2, 6))
+        rows[i] = [c * e for e in rows[i]]
+    elif kind == "zero":
+        rows[i] = [0] * n
+    else:
+        coefs = draw(st.lists(st.integers(-3, 3), min_size=k, max_size=k))
+        others = [(c, row) for l, (c, row) in enumerate(zip(coefs, rows)) if l != i]
+        rows[i] = [sum(c * row[j] for c, row in others) for j in range(n)]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_refusal_candidates())
+@example(IntMatrix.from_rows([[1, 2, 3], [2, 4, 6]]))  # rank 1 < k
+@example(IntMatrix.from_rows([[0, 0, 0], [3, 5, 7]]))  # zero top row
+@example(IntMatrix.from_rows([[2, 4, 6], [0, 0, 0]]))  # zero bottom row
+@example(IntMatrix.from_rows([[0, 0, 0, 0], [1, 2, 3, 4], [2, 4, 6, 8]]))  # rank 1 < k = 3
+@example(IntMatrix.from_rows([[1, 2], [2, 4]]))  # k = n, det 0
+@example(IntMatrix.from_rows([[2, 1], [0, 3]]))  # k = n, det 6
+def test_complete_to_gl_refusal_carries_the_minor_gcd(a):
+    g = full_rank_minor_gcd(a)
+    if g == 1:
+        assert abs(complete_to_gl(a).det()) == 1
+        return
+    with pytest.raises(NotUnimodularError) as exc:
+        complete_to_gl(a)
+    assert exc.value.minor_gcd == g
