@@ -144,56 +144,52 @@ def _compile(name: str, params: str, body: list[str], env: dict) -> Callable:
     return env[name]
 
 
-# det(flat, sub) for t x t matrices, keyed by size = t * t, for t up to
-# _CLOSED_MAX; each is compiled on first use by _compile_det
-_closed_dets: dict[int, Callable[[Sequence[int], Sequence[int]], int]] = {}
-
-
-def _compile_det(size: int) -> Callable[[Sequence[int], Sequence[int]], int]:
-    """Compile, store in _closed_dets and return det(flat, sub) for t x t
-    matrices, size = t * t, from the closed form of _laplace."""
-    t = math.isqrt(size)
-    body = ["".join(f"i{i}, " for i in range(size)) + "= sub"]
-    body += [f"e{i} = flat[i{i}]" for i in range(size)]
-    expr = _laplace(t, tuple(range(t)), {}, body)
-    det = _closed_dets[size] = _compile("det", "flat, sub", [*body, f"return {expr}"], {})
-    return det
-
-
 def _det_at(flat: Sequence[int], sub: Sequence[int]) -> int:
     """Exact determinant of the t x t matrix whose entries, row-major, are
     flat[i] for i in sub.
 
-    Closed forms up to 4x4 (see _laplace); fraction-free (Bareiss)
-    elimination above that, so intermediate values stay integral and of
-    modest size.
+    Up to 4x4 it is the closed form of _laplace, compiled once per t by
+    _minors_kernel(t, t); above that it is _bareiss.
     """
-    size = len(sub)
-    if size <= _CLOSED_MAX * _CLOSED_MAX:
-        return (_closed_dets.get(size) or _compile_det(size))(flat, sub)
-    t = math.isqrt(size)
-    m = [[flat[x] for x in sub[r * t : (r + 1) * t]] for r in range(t)]
-    sign = 1
-    prev = 1
-    for i in range(t - 1):
-        if m[i][i] == 0:
-            for r in range(i + 1, t):
-                if m[r][i] != 0:
-                    m[i], m[r] = m[r], m[i]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        pivot = m[i][i]
-        for r in range(i + 1, t):
-            mri = m[r][i]
-            mr, mi = m[r], m[i]
-            for c in range(i + 1, t):
-                # exact division: Bareiss guarantees divisibility by prev
-                mr[c] = (mr[c] * pivot - mri * mi[c]) // prev
-            mr[i] = 0
+    ents = [flat[i] for i in sub]
+    t = math.isqrt(len(ents))
+    if t <= _CLOSED_MAX:
+        return _minors_kernel(t, t)(ents)[0]
+    return _bareiss([ents[r * t : (r + 1) * t] for r in range(t)])
+
+
+def _bareiss(rows: Sequence[Sequence[int]]) -> int:
+    """The minor of the k x n matrix `rows` (k <= n) on the columns where
+    its rows pivot, signed for those columns in increasing order: the
+    determinant when k = n, and 0 when the rank is below k.
+
+    Fraction-free (Bareiss, Math. Comp. 22, 1968) elimination in which each
+    row pivots on its first nonzero column that no row above pivoted on.
+    After step i every updated entry is an (i+1) x (i+1) minor, so the
+    division by the previous pivot is exact and sizes stay within those of
+    the minors. A pivoted column is zero below its pivot and stays zero, so
+    only the unpivoted columns are updated; a row with none of them nonzero
+    lies in the span of the rows above it.
+    """
+    m = [list(r) for r in rows]
+    free = list(range(len(m[0])))
+    prev, inversions = 1, 0
+    for i, row in enumerate(m):
+        for idx, c in enumerate(free):
+            if row[c]:
+                break
+        else:
+            return 0
+        del free[idx]
+        # of the i pivots above, c - idx lie left of c and the rest right of it
+        inversions += i - c + idx
+        pivot = row[c]
+        for mr in m[i + 1 :]:
+            f = mr[c]
+            for j in free:
+                mr[j] = (mr[j] * pivot - f * row[j]) // prev
         prev = pivot
-    return sign * m[t - 1][t - 1]
+    return -prev if inversions & 1 else prev
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -209,30 +205,6 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     if old_r < 0:
         return -old_r, -old_s, -old_t
     return old_r, old_s, old_t
-
-
-def _nonzero_minor(rows: Sequence[Sequence[int]]) -> int:
-    """|det| of a nonsingular k x k submatrix of a k x n matrix (k <= n),
-    or 0 when the rank is below k.
-
-    Fraction-free (Bareiss) elimination that takes each row's pivot in the
-    first column where the row is nonzero. After step i every entry is an
-    (i+1) x (i+1) minor, so the division by the previous pivot is exact and
-    sizes stay within those of the minors; a row left zero lies in the span
-    of the rows above it.
-    """
-    m = [list(r) for r in rows]
-    prev = 1
-    for i, row in enumerate(m):
-        c = next((j for j, e in enumerate(row) if e), None)
-        if c is None:
-            return 0
-        pivot = row[c]
-        for mr in m[i + 1 :]:
-            f = mr[c]
-            mr[:] = [(e * pivot - f * p) // prev for e, p in zip(mr, row)]
-        prev = pivot
-    return abs(prev)
 
 
 def _minor_gcd_mod(rows: Sequence[Sequence[int]], r: int) -> int:
@@ -317,7 +289,8 @@ def _minors_kernel(t: int, n: int) -> Callable[[Sequence[int]], tuple[int, ...]]
     """All t x t minors of t x n matrices (t <= n), column subsets in
     lexicographic order, as one function of the flat entries, compiled on
     first use from the closed forms of _laplace. Its size grows as 2^n, so
-    it serves the box census, whose n is small."""
+    it serves small n only: the box census's Pluecker vectors, and _det_at
+    up to 4x4 with n = t."""
     body = ["".join(f"e{i}, " for i in range(t * n)) + "= s"]
     subs: dict = {}
     texts = [_laplace(n, cols, subs, body) for cols in combinations(range(n), t)]
@@ -329,16 +302,16 @@ def _minor_gcd_kernel(k: int, n: int) -> Callable[[Sequence[int]], int]:
     """The minor gcd of k x n matrices (2 <= k <= n) as one function of
     their flat entries, compiled on first use from _minor_plan(k, n).
 
-    The body is straight-line code: one gcd line per planned minor, each
-    followed by a return of 1 when the running gcd hits 1. For k <= 4 the
-    entries the plan reads are unpacked into locals and each minor is its
-    closed form (_laplace), with the minors of the first rows computed once
-    and shared by the planned minors that contain them. For k <= 4 and
-    n <= k + 1 the plan is every minor and the body is one gcd of all of
-    them: reading each minor costs less than testing the gcd after it.
-    Past the plan, for n > k + 1, it calls _minor_gcd_finish with the
-    running gcd. For k > 4 each minor is one Bareiss determinant of its
-    planned entries.
+    The body is straight-line code: one gcd line per minor it reads, each
+    followed by a return of 1 when the running gcd hits 1, and then, unless
+    it read every minor, a call of _minor_gcd_finish with the running gcd.
+    For k <= 4 it reads the whole plan. The entries the plan reads are
+    unpacked into locals and each minor is its closed form (_laplace), with
+    the minors of the first rows computed once and shared by the planned
+    minors that contain them; for n <= k + 1 the body is one gcd of all of
+    them, since reading each minor costs less than testing the gcd after
+    it. For k > 4 each minor is one _bareiss determinant, O(k^3), against
+    O(k^2 n) for the finish, so it reads at most the first two.
     """
     plan = _minor_plan(k, n)
     env = {"gcd": math.gcd, "det": _det_at, "finish": _minor_gcd_finish}
@@ -355,6 +328,7 @@ def _minor_gcd_kernel(k: int, n: int) -> Callable[[Sequence[int]], int]:
         # when its text is made, just before the line that reads it
         texts = (_laplace(n, sub[:k], subs, body) for sub in plan)
     else:
+        plan = plan[:2]
         env.update((f"p{i}", sub) for i, sub in enumerate(plan))
         texts = (f"det(s, p{i})" for i in range(len(plan)))
     if k <= _CLOSED_MAX and n <= k + 1:
@@ -362,18 +336,20 @@ def _minor_gcd_kernel(k: int, n: int) -> Callable[[Sequence[int]], int]:
     else:
         for i, text in enumerate(texts):
             body += [f"g = gcd({'g, ' if i else ''}{text})", "if g == 1:", "    return 1"]
-        body.append(f"return finish(s, {k}, {n}, g)" if n > k + 1 else "return g")
+        every = len(plan) == math.comb(n, k)
+        body.append("return g" if every else f"return finish(s, {k}, {n}, g)")
     return _compile("kernel", "s", body, env)
 
 
 def _minor_gcd_finish(flat: Sequence[int], k: int, n: int, g: int) -> int:
     """The minor gcd of the k x n matrix with entries flat, given the gcd g
     of some of its minors: elimination modulo g, which is a multiple of the
-    answer (_minor_gcd_mod). If g = 0, fraction-free elimination first
-    finds a nonzero minor to use as g, or shows that the rank is below k."""
+    answer (_minor_gcd_mod). If g = 0, _bareiss first finds a nonzero minor
+    to use as g, or shows that the rank is below k. Both cost O(k^2 n)
+    operations, whatever C(n, k) is."""
     rows = [flat[t * n : (t + 1) * n] for t in range(k)]
     if g == 0:
-        g = _nonzero_minor(rows)
+        g = abs(_bareiss(rows))
         if g == 0:
             return 0
     return _minor_gcd_mod(rows, g)
@@ -384,11 +360,12 @@ def _minor_gcd_of_rows(flat: Sequence[int], k: int, n: int) -> int:
     laid end to end, are flat. The gcd of an all-zero collection is 0.
 
     For k >= 2 this is the compiled kernel of _minor_gcd_kernel(k, n). It
-    accumulates the gcd over the minors of `_minor_plan(k, n)` and returns
-    as soon as it hits 1, since gcd(1, anything) stays 1; for n <= k + 1
-    those are all the minors. Otherwise the running gcd g is a multiple of
-    the answer, and column elimination modulo g finishes in O(k^2 n)
-    operations instead of C(n, k) determinants.
+    accumulates the gcd over the minors of `_minor_plan(k, n)`, the first
+    two of them for k > 4, and returns as soon as it hits 1, since
+    gcd(1, anything) stays 1. When those were all the minors (n <= k + 1
+    for k <= 4, n = k for k > 4) the running gcd is the answer. Otherwise
+    it is a multiple of the answer, and column elimination modulo it
+    finishes in O(k^2 n) operations instead of C(n, k) determinants.
 
     For n > k + 1 the plan reads cyclic column windows rather than the
     first k + 1 subsets in lexicographic order. Those share columns

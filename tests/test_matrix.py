@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from unimat.matrix import (
     IntMatrix,
+    _bareiss,
     _minor_gcd_of_rows,
     _minor_plan,
     full_rank_minor_gcd,
@@ -95,6 +96,25 @@ def test_det_matches_permutation_expansion(n):
     r = random.Random(100 + n)
     for _ in range(60):
         rows = [[r.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        assert IntMatrix.from_rows(rows).det() == _perm_det(rows)
+
+
+def test_det_of_signed_permutation_matrices():
+    # each row pivots on its permuted column, so every permutation's
+    # parity must come out of the pivot order
+    r = random.Random(19)
+    for perm in permutations(range(5)):
+        rows = [[r.choice((-1, 1)) if j == perm[i] else 0 for j in range(5)] for i in range(5)]
+        assert IntMatrix.from_rows(rows).det() == _perm_det(rows)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7])
+def test_det_of_sparse_matrices(n):
+    # about half the entries are zero, which moves pivots off the diagonal;
+    # random dense matrices rarely do that
+    r = random.Random(200 + n)
+    for _ in range(60 if n < 7 else 15):
+        rows = [[r.randint(-9, 9) if r.random() < 0.5 else 0 for _ in range(n)] for _ in range(n)]
         assert IntMatrix.from_rows(rows).det() == _perm_det(rows)
 
 
@@ -205,6 +225,19 @@ def _gcd_inputs(draw, k=None, n=None):
     return IntMatrix.from_rows(rows)
 
 
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_bareiss_is_a_minor_on_its_pivot_columns(data):
+    # leading zero columns and dependent rows push pivots right, and a
+    # rank below k must give 0
+    k = data.draw(st.integers(1, 7))
+    a = data.draw(_gcd_inputs(k, data.draw(st.integers(k, k + 3))))
+    values = minors(a, k).values
+    b = _bareiss(a.to_rows())
+    assert b in values
+    assert (b == 0) == (not any(values))
+
+
 # the planned minors have gcd 6, the answer is 2
 _PLANNED_GCD_ABOVE_ANSWER = IntMatrix.from_rows([[-2, -2, 0, 2], [-2, 1, 3, -3]])
 
@@ -226,7 +259,7 @@ def test_full_rank_minor_gcd_property_against_minorset(a):
 
 
 # every shape with a compiled closed-form kernel (k <= 4), and k = 5 and 6,
-# whose kernels call Bareiss elimination per planned minor
+# whose kernels read at most two planned minors by Bareiss elimination
 KERNEL_SHAPES = [(k, n) for k in range(2, 7) for n in range(k, 9)]
 
 
@@ -282,6 +315,21 @@ def test_full_rank_minor_gcd_scales_past_the_minor_count(mag):
     assert full_rank_minor_gcd(a) == d
     assert full_rank_minor_gcd(deficient) == 0
     assert time.perf_counter() - t0 < 2.0
+
+
+def test_near_square_minor_gcd_reads_two_minors():
+    # n = k + 1 plans all 41 column subsets, but past two 40 x 40 Bareiss
+    # determinants the finish is cheaper: reading all 41 took 4.5-5 s on a
+    # 2-core VM
+    r = random.Random(40)
+    rows = [[r.randrange(-2**64, 2**64) for _ in range(41)] for _ in range(40)]
+    assert full_rank_minor_gcd(IntMatrix.from_rows(rows)) == 1
+    doubled = [[2 * e for e in rows[0]], *rows[1:]]
+    dependent = [*rows[:-1], [x + y for x, y in zip(rows[0], rows[1])]]
+    for case, want in ((doubled, 2), (dependent, 0)):
+        t0 = time.perf_counter()
+        assert full_rank_minor_gcd(IntMatrix.from_rows(case)) == want
+        assert time.perf_counter() - t0 < 2.0
 
 
 def test_full_rank_minor_gcd_with_zero_planned_minors_stays_fast():
