@@ -28,7 +28,13 @@ import sys
 from fractions import Fraction
 from typing import Any
 
-from .density import PrimeSet, density_exact, density_limit, local_density
+from .density import (
+    PrimeSet,
+    _local_denominator_exponents,
+    density_exact,
+    density_limit,
+    local_density,
+)
 from .experiments import (
     DEFAULT_BUDGET,
     BoxSpec,
@@ -157,21 +163,36 @@ def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
     return json.dumps(payload, indent=2) + "\n", EXIT_OK
 
 
+def _digit_count(exponents: dict[int, int]) -> int:
+    """Decimal digits of prod_p p^e, from logarithms."""
+    return math.floor(sum(e * math.log10(p) for p, e in exponents.items())) + 1
+
+
 def _cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     s = PrimeSet.from_iterable(args.primes)
     k, n = args.k, args.n
-    # The density's denominator divides prod_p p^S, S = (n-k+1) + ... + n.
-    # Refuse before computing it when that has more digits than str() may
-    # print, so huge k and n cost nothing.
+    # The density's denominator divides prod_p p^S, S = (n-k+1) + ... + n,
+    # and exceeds its numerator. Only when that bound has more digits than
+    # str() may print is the reduced denominator counted, from the
+    # numerator's p-adic valuations, so ordinary requests pay nothing; a
+    # count past the limit refuses before the density is computed. A count
+    # left partial by the search budget decides only past the limit;
+    # otherwise the unreduced bound does.
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    digits = math.floor(k * (2 * n - k + 1) // 2 * sum(math.log10(p) for p in s.primes)) + 1
-    if limit and k <= n and digits > limit:
-        raise ValueError(
-            f"the exact density needs up to {digits} digits, past the "
-            f"limit of {limit} digits for printing an integer; use smaller k, n "
-            f"or primes, or raise the limit with the PYTHONINTMAXSTRDIGITS "
-            f"environment variable (0 removes it)"
-        )
+    if limit and k <= n:
+        bound, digits = "up to", _digit_count(dict.fromkeys(s.primes, k * (2 * n - k + 1) // 2))
+        if digits > limit:
+            exponents, exact = _local_denominator_exponents(s, k, n)
+            reduced = _digit_count(exponents)
+            if exact or reduced > limit:
+                bound, digits = ("up to" if exact else "at least"), reduced
+        if digits > limit:
+            raise ValueError(
+                f"the exact density needs {bound} {digits} digits, "
+                f"past the limit of {limit} digits for printing an integer; use smaller k, n "
+                f"or primes, or raise the limit with the PYTHONINTMAXSTRDIGITS "
+                f"environment variable (0 removes it)"
+            )
     q = local_density(s, k, n)
     payload = {
         "primes": [str(p) for p in s.primes],

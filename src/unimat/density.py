@@ -21,15 +21,22 @@ stops at its first term below tol/2, whose absolute value bounds the
 remainder (for real j > 1 the remainder has the sign of that term and
 smaller size). The cost is therefore polynomial in log(1/tol): about
 log10(1/tol)/2 series terms and 0.6 log10(1/tol) correction terms, against
-tol^(-1/(j+1)) series terms for a fixed-length expansion. The densities
-are products of zeta(j)^(-1) over a range of j computed by one routine, and
-every reported value carries a rigorous absolute error bound at or below
-the requested tolerance.
+tol^(-1/(j+1)) series terms for a fixed-length expansion.
+
+The densities are products of zeta(j)^(-1) over a range of j, and one
+sweep evaluates every factor: all share one working precision and one N,
+so m^(-j) and N^(-j) step from j to j + 1 by one multiplication each and
+the correction coefficients are converted once. A factor then costs one
+multiplication per series term still above the working precision and one
+per correction term; zeta(j) alone is the sweep's one-factor case. Every
+reported value carries a rigorous absolute error bound at or below the
+requested tolerance.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -159,14 +166,16 @@ def _bernoulli(i: int) -> Fraction:
     return _BERNOULLI[i]
 
 
-def zeta(j: int, tol: float | Decimal) -> ZetaValue:
-    """zeta(j) for integer j >= 2 with absolute error <= tol.
+def _zeta_sweep(lo: int, hi: int, tol: Decimal) -> tuple[list[Decimal], list[Decimal], int]:
+    """zeta(j) for j = lo, ..., hi (2 <= lo <= hi), each with absolute error
+    <= tol: the values, their rigorous error bounds, and the series cutoff N
+    that every j shares.
 
     Euler-Maclaurin at the cutoff N:
 
         zeta(j) = sum_{m<N} m^(-j) + N^(1-j)/(j-1) + N^(-j)/2
                   + sum_{i=1}^{p} T_i + R_p,
-        T_i = B_(2i)/(2i)! * j(j+1)...(j+2i-2) * N^(1-j-2i).
+        T_i = c_i * j(j+1)...(j+2i-2) * N^(-j),  c_i = B_(2i)/(2i)! * N^(1-2i).
 
     Every derivative of x^(-j) of even order is positive, so the remainder
     R_p has the sign of T_(p+1) and |R_p| <= |T_(p+1)|. The |T_i| shrink
@@ -174,53 +183,89 @@ def zeta(j: int, tol: float | Decimal) -> ZetaValue:
     before they turn to grow; with D = -floor(log10(tol)),
     N = max(10, ceil(D/2)) puts that low point well below tol/2. p is the
     number of terms before the first one at or below tol/2 (about 0.6 D),
-    and that term's absolute value is the remainder bound. Sums run in
-    decimal at D + 12 digits (at least 40), one rounding per operation, so
-    the bound adds one unit of the last place per term; series terms and
-    tails below 10^(-digits) are skipped against the same allowance, so
-    a huge j costs no j-digit integers. terms reports N.
+    and that term's absolute value is the remainder bound.
+
+    All j share one decimal context of D + 12 digits (at least 40) and one
+    N, so the sweep keeps a table of m^(-j) for 2 <= m < N, stepped from j
+    to j + 1 by one multiplication with a rounded 1/m each, and N^(-j),
+    stepped by one division by N; an m leaves the table once its power is
+    below 10^(-digits), and so does the tail once N^(1-j) is, so a huge j
+    costs no j-digit integers.
+    The c_i become Decimals once per call. One rounding per arithmetic
+    operation is at most half a unit u = 10^(1-digits) of a sum below 10,
+    so the bound adds u per series term and correction term and 10 u for
+    the rest. The stepped powers start within u/2 relative and lose at
+    most u per step; their sum stays below 1, so the bound adds 2 u for
+    the start and 2 u per step.
     """
+    digits = _working_digits(tol)
+    n_cut = max(10, math.ceil(-tol.adjusted() / 2))
+    log_n = math.log10(n_cut)
+    values: list[Decimal] = []
+    bounds: list[Decimal] = []
+    with localcontext() as ctx:
+        ctx.prec = digits
+        zero, half, one, big_n = Decimal(0), Decimal("0.5"), Decimal(1), Decimal(n_cut)
+        unit, tiny = one.scaleb(1 - digits), one.scaleb(-digits)
+        # terms below 10^(-digits) are left out against the rounding allowance
+        powers = []
+        for m in range(2, n_cut):
+            if lo * math.log10(m) >= digits:
+                break
+            powers.append(one / Decimal(m**lo))
+        steps = [one / m for m in range(2, len(powers) + 2)] if hi > lo else []
+        # below the threshold the whole tail sum_{m>=N} m^(-j), at most
+        # N^(-j) + N^(1-j)/(j-1), is under 2 * 10^(-digits)
+        tail = (lo - 1) * log_n < digits
+        if tail:
+            power_n = one / Decimal(n_cut**lo)
+            threshold = tol / 2 * n_cut**lo  # (tol/2) / N^(-j)
+        coeffs: list[Decimal] = []  # c_(i+1) = B_(2i+2) / scale
+        scale = 2 * n_cut  # (2i+2)! * N^(2i+1) for i = len(coeffs)
+        for j in range(lo, hi + 1):
+            if j > lo:
+                powers = list(map(operator.mul, powers, steps))
+                while powers and powers[-1] < tiny:
+                    powers.pop()
+                if tail:
+                    tail = (j - 1) * log_n < digits
+                    power_n /= n_cut
+                    threshold *= n_cut
+            s = sum(powers, one)
+            p = 0
+            remainder = zero
+            if tail:
+                # T_i / N^(-j), summed before one multiplication by N^(-j)
+                corrections = big_n / (j - 1) + half
+                rising = j  # j(j+1)...(j+2p), updated in step with p
+                while True:
+                    if p == len(coeffs):
+                        b = _bernoulli(p + 1)
+                        coeffs.append(Decimal(b.numerator) / Decimal(b.denominator * scale))
+                        scale *= (2 * p + 3) * (2 * p + 4) * n_cut * n_cut
+                    term = coeffs[p] * rising
+                    if abs(term) <= threshold:
+                        remainder = abs(term) * power_n
+                        break
+                    corrections += term
+                    p += 1
+                    rising *= (j + 2 * p - 1) * (j + 2 * p)
+                s += corrections * power_n
+            values.append(s)
+            bounds.append(remainder + (n_cut + p + 10 + 2 * (j - lo + 1)) * unit)
+    return values, bounds, n_cut
+
+
+def zeta(j: int, tol: float | Decimal) -> ZetaValue:
+    """zeta(j) for integer j >= 2 with absolute error <= tol: the one-factor
+    case of _zeta_sweep. terms reports its cutoff N."""
     if not isinstance(j, int) or j <= 1:
         raise ValueError(
             f"zeta is evaluated for integer arguments >= 2 only; the series "
             f"diverges at 1 and below (got {j})"
         )
-    tol = _tolerance(tol)
-    digits = _working_digits(tol)
-    n_cut = max(10, math.ceil(-tol.adjusted() / 2))
-    p = 0
-    with localcontext() as ctx:
-        ctx.prec = digits
-        target = tol / 2
-        one = Decimal(1)
-        s = Decimal(0)
-        for m in range(1, n_cut):
-            if j * math.log10(m) >= digits:
-                break  # m^(-j) and every later term are below 10^(-digits)
-            s += one / Decimal(m**j)
-        remainder = Decimal(0)
-        # below the threshold the whole tail sum_{m>=N} m^(-j), at most
-        # N^(-j) + N^(1-j)/(j-1), is under 2 * 10^(-digits)
-        if (j - 1) * math.log10(n_cut) < digits:
-            s += one / Decimal((j - 1) * n_cut ** (j - 1))
-            s += one / Decimal(2 * n_cut**j)
-            # T_i = B_(2i) * rising / (fact * power), updated in step with i
-            rising, fact, power = j, 2, n_cut ** (j + 1)
-            while True:
-                b = _bernoulli(p + 1)
-                term = Decimal(b.numerator * rising) / Decimal(b.denominator * fact * power)
-                if abs(term) <= target:
-                    remainder = abs(term)
-                    break
-                s += term
-                p += 1
-                rising *= (j + 2 * p - 1) * (j + 2 * p)
-                fact *= (2 * p + 1) * (2 * p + 2)
-                power *= n_cut * n_cut
-        # one rounding per arithmetic op, each within half an ulp of a sum
-        # below 10
-        rounding = Decimal(n_cut + p + 10) * Decimal(10) ** (1 - digits)
-        return ZetaValue(s, remainder + rounding, n_cut)
+    (value,), (bound,), n_cut = _zeta_sweep(j, j, _tolerance(tol))
+    return ZetaValue(value, bound, n_cut)
 
 
 def _inverse_zeta_product(
@@ -240,17 +285,14 @@ def _inverse_zeta_product(
     digits = _working_digits(tol)
     j_cut = max(lo, 40, math.ceil(-math.log2(tol)) + 2)
     top = j_cut if hi is None else min(hi, j_cut)
-    cutoffs: dict[int, int] = {}
     with localcontext() as ctx:
         ctx.prec = digits
-        per_factor = tol / (4 * (top - lo + 1))
+        values, bounds, n_cut = _zeta_sweep(lo, top, tol / (4 * (top - lo + 1)))
+        cutoffs = dict.fromkeys(range(lo, top + 1), n_cut)
         value = Decimal(1)
-        err_sum = Decimal(0)
-        for j in range(lo, top + 1):
-            zv = zeta(j, per_factor)
-            value /= zv.value
-            err_sum += zv.error_bound
-            cutoffs[j] = zv.terms
+        for z in values:
+            value /= z
+        err_sum = sum(bounds)
         # |1/z^ - 1/z| <= e/(1-e) per factor and factors stay below 1,
         # so errors add; 1.01 absorbs the 1/(1-e) inflation and rounding.
         bound = err_sum * Decimal("1.01") + Decimal(10) ** (8 - digits)
@@ -316,6 +358,75 @@ def local_density(s: PrimeSet, k: int, n: int) -> Fraction:
             num *= q - 1
             den *= q
     return Fraction(num, den)  # reduced once, not once per factor
+
+
+# Steps of multiplicative-order search that _local_denominator_exponents
+# may take over all pairs of primes, about a second at most
+_ORDER_STEPS = 1 << 20
+
+
+def _factorial_valuation(m: int, p: int) -> int:
+    """v_p(m!), by Legendre's formula."""
+    v = 0
+    while m:
+        m //= p
+        v += m
+    return v
+
+
+def _local_denominator_exponents(s: PrimeSet, k: int, n: int) -> tuple[dict[int, int], bool]:
+    """The exponent of each p in s in the reduced denominator of
+    local_density(s, k, n), found without computing the density; and
+    whether every p is there.
+
+    The unreduced fraction is prod_{j,q} (q^j - 1) / prod_p p^S with
+    S = (n-k+1) + ... + n, j from n-k+1 to n and q in s, so p's exponent is
+    S minus the p-adic valuation of the numerator, at least 0. That
+    valuation sums v_p(q^j - 1) over q != p and is read off by lifting the
+    exponent. For odd p, p | q^j - 1 iff the order d of q mod p divides j,
+    and then v_p(q^j - 1) = v_p(q^d - 1) + v_p(j/d). For p = 2,
+    v_2(q^j - 1) is v_2(q - 1) for odd j and v_2(q - 1) + v_2(q + 1) +
+    v_2(j) - 1 for even j. Sums of v_p over a range come from Legendre's
+    formula, so the cost does not grow with k or n.
+
+    The primes are taken largest first, and the order searches of all
+    pairs share _ORDER_STEPS steps. When those run out, the primes not yet
+    done are left out, so the denominator the exponents give is a divisor
+    of the true one, and the flag is False.
+    """
+    if not (1 <= k <= n):
+        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
+    lo, hi = n - k + 1, n
+    total = k * (lo + hi) // 2
+    exponents: dict[int, int] = {}
+    steps = _ORDER_STEPS
+    for p in reversed(s.primes):
+        v = 0
+        for q in s.primes:
+            if q == p:
+                continue
+            if p == 2:
+                # v_2 of q - 1 and q + 1, from their lowest set bits
+                a, b = ((q - 1) & (1 - q)).bit_length() - 1, ((q + 1) & (-q - 1)).bit_length() - 1
+                even = hi // 2 - (lo - 1) // 2
+                v += k * a + even * (b - 1) + _factorial_valuation(hi, 2) - _factorial_valuation(lo - 1, 2)
+                continue
+            reach = min(hi, steps)
+            x, d = q % p, 1
+            while x != 1 and d < reach:
+                x, d = x * q % p, d + 1
+            steps -= d
+            if x != 1:
+                if reach < hi:
+                    return exponents, False
+                continue  # d > n, so p divides no q^j - 1
+            e = 1
+            while pow(q, d, p ** (e + 1)) == 1:
+                e += 1
+            first, last = (lo - 1) // d, hi // d
+            v += (last - first) * e + _factorial_valuation(last, p) - _factorial_valuation(first, p)
+        exponents[p] = max(0, total - v)
+    return exponents, True
 
 
 def divisibility_defect(p: int, k: int, n: int) -> Fraction:

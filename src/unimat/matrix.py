@@ -193,18 +193,18 @@ def _bareiss(rows: Sequence[Sequence[int]]) -> int:
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g."""
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    if old_r < 0:
-        return -old_r, -old_s, -old_t
-    return old_r, old_s, old_t
+    """(g, x, y) with g = gcd(a, b) >= 0 and x*a + y*b = g: the cofactors
+    the extended Euclidean algorithm returns, |x| <= |b|/(2g), built from
+    math.gcd and a modular inverse. For m = |b|/g, x = (a/g)^(-1) mod m
+    is taken in (-m/2, m/2], or [-m/2, m/2) when b < 0; x = 0 for m = 1."""
+    if not b:
+        return (a, 1, 0) if a >= 0 else (-a, -1, 0)
+    g = math.gcd(a, b)
+    m = abs(b) // g
+    x = pow(a // g, -1, m)
+    if 2 * x > m or (2 * x == m and b < 0):
+        x -= m
+    return g, x, (g - a * x) // b
 
 
 def _minor_gcd_mod(rows: Sequence[Sequence[int]], r: int) -> int:

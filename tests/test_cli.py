@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from test_experiments import brute_hits
 from unimat import cli
 from unimat.cli import main
+from unimat.density import PrimeSet, local_density
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -288,6 +289,35 @@ def test_local_answers_just_below_the_str_digits_limit(capsys):
     code, _, err = _run(capsys, "local", "--primes", "2", "--k", "169", "--n", "169")
     assert code == 2
     assert "4325 digits" in err
+
+
+SEVENTEEN_PRIMES = "2,3,5,7,11,13,17,19,23,29,31,37,41,43,47,53,59"
+
+
+# unreduced denominators of 4,470, 4,449 and 4,896 digits; reduced 3,587,
+# 3,575 and 3,960
+@pytest.mark.parametrize("k,n", [(20, 20), (19, 20), (20, 21)])
+def test_local_prints_when_only_the_reduced_fraction_fits(capsys, k, n):
+    code, out, err = _run(capsys, "local", "--primes", SEVENTEEN_PRIMES, "--k", str(k), "--n", str(n))
+    assert code == 0, err
+    want = local_density(PrimeSet.from_iterable(map(int, SEVENTEEN_PRIMES.split(","))), k, n)
+    assert json.loads(out)["density"] == f"{want.numerator}/{want.denominator}"
+
+
+def test_local_refusal_names_the_reduced_digit_count(capsys):
+    code, _, err = _run(capsys, "local", "--primes", SEVENTEEN_PRIMES, "--k", "25", "--n", "25")
+    assert code == 2
+    assert "needs up to 5720 digits" in err
+
+
+# the second input spends the order-search budget on 2 mod 1000000007
+@pytest.mark.parametrize("primes,k", [("2,3", "1000000000"), ("2,1000000007", "1")])
+def test_local_refuses_huge_n_within_one_second(primes, k):
+    argv = ["local", "--primes", primes, "--k", k, "--n", "1000000000"]
+    proc, elapsed = _cli_subprocess(argv, 1.0)
+    assert proc.returncode == 2
+    assert elapsed < 1.0
+    assert "past the limit" in proc.stderr
 
 
 def test_estimate_json_and_determinism(capsys):

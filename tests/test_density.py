@@ -6,6 +6,7 @@ serves as the independent oracle for every transcendental value; rational
 quantities are checked exactly.
 """
 
+import functools
 import math
 import random
 from decimal import Decimal
@@ -18,6 +19,7 @@ import sympy
 from unimat import density as density_module
 from unimat.density import (
     PrimeSet,
+    _local_denominator_exponents,
     count_full_rank_mod_p,
     density_exact,
     density_limit,
@@ -91,6 +93,51 @@ def test_density_and_limit_deep_tolerance_against_80_digit_oracle(tol):
         rep = density_limit(1, tol) if key == "limit" else density_exact(*key, tol)
         err = abs(rep.value - oracle)
         assert err <= rep.abs_error_bound <= Decimal(tol), (key, tol, err, rep.abs_error_bound)
+
+
+@functools.cache
+def _zeta80(j: int) -> Decimal:
+    with mpmath.workdps(80):
+        return _mp80(mpmath.zeta(j))
+
+
+SWEEP_TOLS = [1e-12, 1e-17, 1e-30]
+
+
+@pytest.mark.parametrize("lo,hi", [(2, 59), (2, 42), (6, 200)])
+@pytest.mark.parametrize("tol", SWEEP_TOLS)
+def test_sweep_factors_within_their_bounds_of_80_digit_oracle(lo, hi, tol):
+    values, bounds, n_cut = density_module._zeta_sweep(lo, hi, Decimal(tol))
+    assert len(values) == len(bounds) == hi - lo + 1
+    assert n_cut == zeta(lo, tol).terms
+    for j, value, bound in zip(range(lo, hi + 1), values, bounds):
+        err = abs(value - _zeta80(j))
+        assert err <= bound <= Decimal(tol), (j, tol, err, bound)
+
+
+@pytest.mark.parametrize("tol", SWEEP_TOLS)
+def test_zeta_agrees_with_the_factor_of_a_longer_sweep(tol):
+    values, bounds, _ = density_module._zeta_sweep(2, 60, Decimal(tol))
+    for j in (2, 3, 7, 19, 41, 60):
+        one = zeta(j, tol)
+        assert abs(one.value - values[j - 2]) <= one.error_bound + bounds[j - 2], (j, tol)
+
+
+def _inverse_product80(lo: int, hi: int) -> Decimal:
+    with mpmath.workdps(80):
+        return _mp80(mpmath.fprod(1 / mpmath.zeta(j) for j in range(lo, hi + 1)))
+
+
+@pytest.mark.parametrize("tol", SWEEP_TOLS)
+def test_limit_and_density_match_80_digit_oracle(tol):
+    for d in (1, 2, 3, 5, 20, 60):
+        rep = density_limit(d, tol)
+        err = abs(rep.value - _inverse_product80(d + 1, d + 300))
+        assert err <= rep.abs_error_bound <= Decimal(tol), (d, tol, err, rep.abs_error_bound)
+    for k, n in [(1, 2), (2, 3), (1, 3), (2, 4), (3, 5), (4, 8), (1, 200), (50, 60)]:
+        rep = density_exact(k, n, tol)
+        err = abs(rep.value - _inverse_product80(n - k + 1, n))
+        assert err <= rep.abs_error_bound <= Decimal(tol), (k, n, tol, err, rep.abs_error_bound)
 
 
 def test_zeta_huge_argument_is_one_within_bound():
@@ -278,6 +325,40 @@ def test_local_density_equals_per_factor_product():
         assert local_density(s, k, n) == _local_density_per_factor(s, k, n)
         p = s.primes[0]
         assert divisibility_defect(p, k, n) == 1 - _local_density_per_factor(PrimeSet((p,)), k, n)
+
+
+def _valuation(x: int, p: int) -> int:
+    v = 0
+    while x % p == 0:
+        x //= p
+        v += 1
+    return v
+
+
+def test_local_denominator_exponents_match_the_reduced_fraction(monkeypatch):
+    r = random.Random(1311)
+    primes = [p for p in range(2, 200) if is_prime(p)]
+    cases = []
+    for _ in range(250):
+        s = PrimeSet(tuple(sorted(r.sample(primes, r.randint(1, 8)))))
+        n = r.randint(1, 24)
+        k = r.randint(1, n)
+        den = local_density(s, k, n).denominator
+        cases.append((s, k, n, {p: _valuation(den, p) for p in s.primes}))
+    for s, k, n, want in cases:
+        assert _local_denominator_exponents(s, k, n) == (want, True)
+    # a search budget that runs out leaves the smaller primes out, flagged
+    monkeypatch.setattr(density_module, "_ORDER_STEPS", 12)
+    partial = 0
+    for s, k, n, want in cases:
+        exponents, complete = _local_denominator_exponents(s, k, n)
+        assert all(exponents[p] == want[p] for p in exponents)
+        assert complete == (exponents == want)
+        partial += not complete
+    assert partial > 50
+    # every order mod 59 is found within the 6 steps n = 6 allows, so only
+    # the budget the pairs share can run out
+    assert _local_denominator_exponents(first_primes(17), 6, 6) == ({}, False)
 
 
 def test_local_density_multiplicative_over_primes():

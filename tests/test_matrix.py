@@ -15,6 +15,7 @@ from unimat.matrix import (
     IntMatrix,
     _bareiss,
     _minor_gcd_of_rows,
+    _xgcd,
     _minor_plan,
     full_rank_minor_gcd,
     is_unimodular,
@@ -33,6 +34,40 @@ def _perm_det(rows):
             term *= rows[i][perm[i]]
         total += term
     return total
+
+
+def _euclid_xgcd(a, b):
+    """The extended Euclidean algorithm, step by step: the oracle for
+    _xgcd's cofactors."""
+    old_r, r = a, b
+    old_s, s = 1, 0
+    old_t, t = 0, 1
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+        old_t, t = t, old_t - q * t
+    if old_r < 0:
+        return -old_r, -old_s, -old_t
+    return old_r, old_s, old_t
+
+
+def test_xgcd_matches_euclid_on_a_square():
+    for a in range(-60, 61):
+        for b in range(-60, 61):
+            assert _xgcd(a, b) == _euclid_xgcd(a, b), (a, b)
+
+
+_BIG_INT = st.integers(1, 500).flatmap(lambda bits: st.integers(-(2**bits), 2**bits))
+
+
+@settings(max_examples=400, deadline=None)
+@given(a=_BIG_INT, b=_BIG_INT, scale=st.sampled_from([1, 1, 3, 2**64 + 13]),
+       zero=st.sampled_from([None, "a", "b"]))
+def test_xgcd_matches_euclid_on_big_entries(a, b, scale, zero):
+    a, b = (0 if zero == "a" else a * scale), (0 if zero == "b" else b * scale)
+    assert _xgcd(a, b) == _euclid_xgcd(a, b)
+    assert _xgcd(a, a * b) == _euclid_xgcd(a, a * b)
 
 
 def _rand_matrix(r, k, n, lo=-9, hi=9):
