@@ -62,8 +62,28 @@ EXIT_NOT_UNIMODULAR = 3
 EXIT_BUDGET = 4
 
 
+def _dec(e: int) -> str:
+    """str(e), or a ValueError that names e's digit count, the limit str()
+    has on it, and how to lift the limit."""
+    try:
+        return str(e)
+    except ValueError:
+        e, limit = abs(e), sys.get_int_max_str_digits()
+        # from the bit length, then exact: 10^(digits - 1) <= e < 10^digits
+        digits = int((e.bit_length() - 1) * math.log10(2)) + 1
+        while 10 ** (digits - 1) > e:
+            digits -= 1
+        while 10**digits <= e:
+            digits += 1
+        raise ValueError(
+            f"an output entry has {digits} digits, past the limit of {limit} digits for "
+            f"integer string conversion; raise the limit with the PYTHONINTMAXSTRDIGITS "
+            f"environment variable (0 removes it)"
+        ) from None
+
+
 def _mat_json(a: IntMatrix) -> list[list[str]]:
-    return [[str(e) for e in a.row(i)] for i in range(a.rows)]
+    return [[_dec(e) for e in a.row(i)] for i in range(a.rows)]
 
 
 def _frac(q: Fraction) -> str:
@@ -131,18 +151,18 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
     payload: dict[str, Any] = {"rows": a.rows, "cols": a.cols}
     if args.mode == "unimodular":
         g = full_rank_minor_gcd(a)
-        payload["minor_gcd"] = str(g)
+        payload["minor_gcd"] = _dec(g)
         payload["unimodular"] = g == 1
     elif args.mode == "hnf":
         res = hnf(a)
         payload["H"] = _mat_json(res.H)
         payload["U"] = _mat_json(res.U)
         payload["det_U"] = str(res.detU)
-        payload["trivial"] = _is_oi_block(res.H)  # H is canonical: no second hnf
+        payload["trivial"] = _is_oi_block(res.H.to_rows())  # H is canonical: no second hnf
     elif args.mode == "snf":
         res = snf(a)
         payload["S"] = _mat_json(res.S)
-        payload["invariant_factors"] = [str(d) for d in res.invariant_factors]
+        payload["invariant_factors"] = [_dec(d) for d in res.invariant_factors]
         payload["L"] = _mat_json(res.L)
         payload["R"] = _mat_json(res.R)
     else:
@@ -369,11 +389,12 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except NotUnimodularError as exc:
-        payload = {
-            "error": "not_unimodular",
-            "minor_gcd": str(exc.minor_gcd),
-            "message": str(exc),
-        }
+        try:
+            gcd = _dec(exc.minor_gcd)
+        except ValueError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_USAGE
+        payload = {"error": "not_unimodular", "minor_gcd": gcd, "message": str(exc)}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_NOT_UNIMODULAR
     except (ValueError, OverflowError, OSError, SmithConvergenceError) as exc:

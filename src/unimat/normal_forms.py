@@ -16,15 +16,32 @@ so a zero row of A stays a zero row of H in place.
 The Smith form has both row and column operations available and yields
 L @ A @ R = S with S = [O | diag(d_1..d_r)] placed in the bottom-right
 corner (zero rows on top), d_i > 0 and d_1 | d_2 | ... | d_r.
+
+H comes from elimination without a transform. The transforms all come from
+one completion M in GL_n(Z) whose last r rows are the r rows B with
+A = H_r @ B, H_r the pivot columns of H (so B = A when A is unimodular):
+U = M, the completion of a unimodular A is M, and S = L @ A @ R with
+R = M^-1 @ diag(I, R_r), where L and R_r reduce the k x r block H_r alone.
+M is built on a window of r + 1 columns (_complete), which keeps its
+entries at about the size of B's.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 # full_rank_minor_gcd is not called here; kept as a boundary perfbench traces
-from .matrix import IntMatrix, _xgcd, full_rank_minor_gcd
+from .matrix import (
+    _CLOSED_MAX,
+    IntMatrix,
+    _minor_gcd_mod,
+    _minors_kernel,
+    _xgcd,
+    full_rank_minor_gcd,
+)
+from .rng import draws
 
 
 class NotUnimodularError(ValueError):
@@ -34,11 +51,12 @@ class NotUnimodularError(ValueError):
     """
 
     def __init__(self, minor_gcd: int):
+        super().__init__(minor_gcd)
         self.minor_gcd = minor_gcd
-        super().__init__(
-            f"matrix is not unimodular: gcd of its full-rank minors is "
-            f"{minor_gcd}, need 1"
-        )
+
+    def __str__(self) -> str:
+        # formatted on demand: a gcd past the int-to-str limit cannot be
+        return f"matrix is not unimodular: gcd of its full-rank minors is {self.minor_gcd}, need 1"
 
 
 class SmithConvergenceError(RuntimeError):
@@ -75,17 +93,22 @@ def _transpose_rows(rows: list[list[int]]) -> list[list[int]]:
     return [list(col) for col in zip(*rows)]
 
 
-def _column_reduce(
-    h: list[list[int]], u: list[list[int]] | None = None, v: list[list[int]] | None = None
-) -> int:
+def _matrix(rows: list[list[int]]) -> IntMatrix:
+    """IntMatrix of rows this module built, whose entries are ints."""
+    return IntMatrix(len(rows), len(rows[0]), tuple(chain.from_iterable(rows)))
+
+
+def _identity_rows(n: int) -> list[list[int]]:
+    return [[int(i == j) for j in range(n)] for i in range(n)]
+
+
+def _column_reduce(h: list[list[int]], v: list[list[int]] | None = None) -> int:
     """Reduce h in place to column-Hermite form; h may be any shape.
 
-    Writing A for the input and H for the reduced output, A = H @ U and
-    H = A @ V with V = U^-1. The caller passes the n x n identity as u to
-    have U built in place, or as v for V, and None for a transform it does
-    not keep. A v that is not the identity is multiplied by V in place, so
-    a caller can accumulate a product of transforms. Returns
-    det(U) = det(V) = +-1.
+    Writing A for the input and H for the reduced output, H = A @ V with
+    V in GL_n(Z). A caller that passes v has it multiplied by V in place:
+    the n x n identity gives V, and any other v accumulates a product of
+    transforms. Returns det(V) = +-1.
 
     Rows are processed bottom-up; each row that is not zero on the remaining
     active columns collects the gcd of those entries into the rightmost free
@@ -113,10 +136,6 @@ def _column_reduce(
                 hp, hj = hr[pc], hr[j]
                 hr[pc] = x * hp + y * hj
                 hr[j] = p * hp + q * hj
-            if u is not None:
-                up, uj = u[pc], u[j]
-                u[pc] = [q * up[c] - p * uj[c] for c in range(n)]
-                u[j] = [x * uj[c] - y * up[c] for c in range(n)]
         g = row[pc]
         if g == 0:
             continue  # no pivot for this row; the column stays available
@@ -124,50 +143,333 @@ def _column_reduce(
             g = -g
             for hr in col_ops:
                 hr[pc] = -hr[pc]
-            if u is not None:
-                u[pc] = [-c for c in u[pc]]
             det = -det
         for j in range(pc + 1, n):
             q = row[j] // g  # floor division leaves row[j] mod g in [0, g)
             if q:
                 for hr in col_ops:
                     hr[j] -= q * hr[pc]
-                if u is not None:
-                    u[pc] = [u[pc][c] + q * u[j][c] for c in range(n)]
         pc -= 1
     return det
 
 
+def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+    """(H, pivot rows top-down, det V) for A @ V = H, by elimination alone.
+
+    The pivot of the l-th pivot row is in column n - r + l."""
+    h = a.to_rows()
+    det = _column_reduce(h)
+    piv = []
+    pc = len(h[0]) - 1
+    for i in range(len(h) - 1, -1, -1):
+        if pc >= 0 and h[i][pc]:
+            piv.append(i)
+            pc -= 1
+    piv.reverse()
+    return h, piv, det
+
+
+def _pivot_basis(a: list[list[int]], h: list[list[int]], piv: list[int]) -> list[list[int]]:
+    """The r rows B with A = H_r @ B, H_r the last r columns of H.
+
+    On the pivot rows H_r is upper triangular with positive diagonal, so B
+    follows bottom-up by exact division. Every row of A is a combination of
+    B's, since A = H @ U for a U whose last r rows are B; for a unimodular
+    A, H_r = I and B = A."""
+    r = len(piv)
+    off = len(h[0]) - r
+    b: list[list[int]] = [[]] * r
+    for l in range(r - 1, -1, -1):
+        hrow, row = h[piv[l]], a[piv[l]]
+        for m in range(l + 1, r):
+            f = hrow[off + m]
+            if f:
+                row = [x - f * y for x, y in zip(row, b[m])]
+        p = hrow[off + l]
+        b[l] = [x // p for x in row] if p != 1 else list(row)
+    return b
+
+
+def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, list[list[int]]] | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of t x w rows of
+    rank t, or None below rank t: (cols, d, m).
+
+    Row i pivots on its first nonzero column not yet pivoted, as in
+    _bareiss, and that column is cleared from every other row. After each
+    step every entry is a minor of the rows, so the divisions by the
+    previous pivot are exact. At the end row i of m holds the last pivot d
+    at column cols[i] and 0 at the other pivot columns; d is the minor on
+    the pivot columns, in the order cols lists them."""
+    m = [list(row) for row in rows]
+    free = list(range(len(m[0])))
+    cols: list[int] = []
+    prev = 1
+    for i, row in enumerate(m):
+        c = next((c for c in free if row[c]), None)
+        if c is None:
+            return None
+        free.remove(c)
+        piv = row[c]
+        for l, ml in enumerate(m):
+            if l == i:
+                continue
+            f = ml[c]
+            for j in free:
+                ml[j] = (piv * ml[j] - f * row[j]) // prev
+            ml[c] = 0
+            if l < i:
+                ml[cols[l]] = piv
+        cols.append(c)
+        prev = piv
+    return cols, prev, m
+
+
+def _cofactors(bt: list[list[int]]) -> list[int]:
+    """c with <x, c> = det [x; bt] for the r x (r + 1) matrix bt, r >= 1:
+    c_j = (-1)^j times the minor of bt without column j, all 0 below rank r.
+
+    Up to r = 4 these are closed forms (_minors_kernel lists the minor
+    without column j at r - j). Above, _eliminate leaves row i with d at
+    its pivot column and w_i at the one column f left free, so (-w_i at
+    the pivot columns, d at f) spans bt's kernel, as c does. d is the minor
+    without column f, signed for the pivot order, which fixes the factor
+    of +-1 between the two.
+    """
+    r = len(bt)
+    if r <= _CLOSED_MAX:
+        m = _minors_kernel(r, r + 1)(list(chain.from_iterable(bt)))
+        return [-m[r - j] if j & 1 else m[r - j] for j in range(r + 1)]
+    done = _eliminate(bt)
+    if done is None:
+        return [0] * (r + 1)
+    cols, d, m = done
+    (f,) = set(range(r + 1)).difference(cols)
+    inversions = sum(1 for a in range(r) for b in range(a) if cols[b] > cols[a])
+    sign = -1 if (inversions + f) & 1 else 1
+    c = [0] * (r + 1)
+    c[f] = sign * d
+    for row, p in zip(m, cols):
+        c[p] = -sign * row[f]
+    return c
+
+
+def _dot(x: list[int], y: list[int]) -> int:
+    return sum(map(int.__mul__, x, y))
+
+
+def _nearest_plane(x: list[int], bt: list[list[int]]) -> list[int]:
+    """x minus the integer combination of bt's rows that Babai's nearest-
+    plane rounding picks, in integers only.
+
+    The integral Gram-Schmidt of Cohen (GTM 138, Algorithm 2.6.7) works
+    on inner products alone: d_i is the Gram determinant of b_0 .. b_(i-1)
+    and lam_(k,j) = d_(j+1) mu_(k,j), all integers, with x taken as one
+    more vector. The coefficient of b_i in x is then mu = lam_(x,i) /
+    d_(i+1), rounded by floor division, with i running down; subtracting
+    q b_i lowers lam_(x,i) by q d_(i+1) and each lam_(x,m), m < i, by
+    q lam_(i,m). The result is congruent to x modulo the rows and lies
+    within half of each Gram-Schmidt vector b*_i along it."""
+    d = [1]
+    lam: list[list[int]] = []
+    for k, bk in enumerate([*bt, x]):
+        row = []
+        for j in range(k + 1 if k < len(bt) else k):
+            u, lj = _dot(bk, bt[j]), row if j == k else lam[j]
+            for m in range(j):
+                u = (d[m + 1] * u - row[m] * lj[m]) // d[m]
+            row.append(u)
+        if k < len(bt):
+            d.append(row.pop())
+        lam.append(row)
+    lx = lam[-1]
+    for i in range(len(bt) - 1, -1, -1):
+        q = (2 * lx[i] + d[i + 1]) // (2 * d[i + 1])
+        if q:
+            x = [e - q * f for e, f in zip(x, bt[i])]
+            lx[i] -= q * d[i + 1]
+            for m in range(i):
+                lx[m] -= q * lam[i][m]
+    return x
+
+
+def _unit_row(bt: list[list[int]], c: list[int], det: int) -> list[int]:
+    """x with det [x; bt] = <x, c> = det (+-1), given the cofactors c of
+    the r x (r + 1) matrix bt, of gcd 1.
+
+    If some c_j is +-1, x is +-e_j, which needs no reduction. Otherwise x
+    comes from extended gcds along c, stopping at the first running gcd of
+    1, and is reduced by _nearest_plane: the rows of bt span the lattice
+    orthogonal to c, so that leaves x about as large as bt."""
+    for u in (det, -det):
+        if u in c:
+            x = [0] * len(c)
+            x[c.index(u)] = u * det
+            return x
+    g, x = c[0], [1] + [0] * len(bt)
+    for j in range(1, len(c)):
+        if g == 1:
+            break
+        if c[j]:
+            g, s, y = _xgcd(g, c[j])
+            x = [s * e for e in x]
+            x[j] = y
+    return _nearest_plane(x if g == det else [-e for e in x], bt)
+
+
+def _windows(n: int, r: int):
+    """Sorted column sets of the r + 1 cyclically consecutive columns
+    ending at n - 1, n - 2, ..., 0, in that order (one set when r + 1 = n)."""
+    if r + 1 == n:
+        yield list(range(n))
+        return
+    for s in range(n - r - 1, -r - 1, -1):
+        yield sorted((s + j) % n for j in range(r + 1))
+
+
+def _window(
+    b: list[list[int]], n: int
+) -> tuple[list[int], list[list[int]] | None, list[list[int]], list[int]] | None:
+    """(T, Z, b_T + b_S Z, c) for the completion of _complete, or None.
+
+    T is the first window (_windows) whose r x r minors of b have gcd 1,
+    and Z is None. Failing that, the windows are tried again, the m-th
+    with b_T + b_S Z_m, S the columns outside T and Z_m an |S| x (r + 1)
+    matrix of entries in {-1, 0, 1} read from stream m of rng.draws: a
+    column operation that mixes the other columns into T. Over the
+    benchmark's analyze corpora for seeds 1-80, 63 of the 7,428 matrices
+    of rank 0 < r < n needed one, and none needed more than 7. c is the
+    cofactors of the b_T + b_S Z returned."""
+    r = len(b)
+    for t in _windows(n, r):
+        bt = [[row[j] for j in t] for row in b]
+        # above the closed forms, first rule out the windows whose minors 2
+        # or 3 divides, most of those that fail, by elimination modulo 6
+        if r > _CLOSED_MAX and _minor_gcd_mod([[e % 6 for e in row] for row in bt], 6) != 1:
+            continue
+        c = _cofactors(bt)
+        if math.gcd(*c) == 1:
+            return t, None, bt, c
+    for m, t in enumerate(_windows(n, r)):
+        out = [j for j in range(n) if j not in t]
+        z = list(draws(m, 0, len(out) * (r + 1), 3))
+        z = [[e - 1 for e in z[a * (r + 1) : (a + 1) * (r + 1)]] for a in range(len(out))]
+        bt = [
+            [row[j] + sum(row[s] * zs[i] for s, zs in zip(out, z)) for i, j in enumerate(t)]
+            for row in b
+        ]
+        c = _cofactors(bt)
+        if math.gcd(*c) == 1:
+            return t, z, bt, c
+    return None
+
+
+def _inverse(m: list[list[int]]) -> list[list[int]]:
+    """M^-1 for a square M with det +-1: M's column Hermite form is I, so
+    the transform of _column_reduce, M @ V = I, is M^-1."""
+    v = _identity_rows(len(m))
+    _column_reduce([list(row) for row in m], v=v)
+    return v
+
+
+def _complete(b: list[list[int]], n: int, inverse: bool) -> list[list[int]]:
+    """An n x n matrix M whose last r rows are b (r <= n), with det M = 1
+    when r < n, or M^-1 if inverse; b's r x r minors must have gcd 1.
+
+    On the window T of _window, M is the unit rows of the columns outside
+    T, then one row x on T (_unit_row), then b. Listing the columns outside
+    T first, M = [[I, 0], [C_S, C_T]] with C = [x; b], so det M is det C_T
+    times the sign of that column order (one inversion per pair s outside
+    T, t in T with t < s), and M^-1 = [[I, 0], [-G C_S, G]] with G = C_T^-1
+    = det(C_T) adj(C_T). Up to r = 4, column i of adj(C_T) is (-1)^i times
+    the closed-form _cofactors of C_T without row i (column 0 is b_T's own
+    c); above, one _eliminate of [C_T | C_S | I] gives G [C_S | I]. With a
+    Z from _window, W = [[I, Z], [0, I]] (columns outside T first) gives M'
+    for b @ W and M = M' @ W^-1: the unit rows gain -Z on T, and M^-1 =
+    W @ M'^-1 adds Z times the rows of T to the rows of the other columns.
+
+    For r = n, M = b. When no window has gcd 1, b's column Hermite form
+    [O | I] gives b @ V = [O | I] with det V = 1 (column 0 of [O | I] is
+    zero, so V's may change sign), and M = V^-1. Both rare cases invert
+    by _inverse."""
+    r = len(b)
+    if r == 0:
+        return _identity_rows(n)
+    if r == n:
+        return _inverse(b) if inverse else b
+    found = _window(b, n)
+    if found is None:
+        v = _identity_rows(n)
+        if _column_reduce([list(row) for row in b], v=v) < 0:
+            for row in v:
+                row[0] = -row[0]
+        return v if inverse else _inverse(v)
+    t, z, bt, c = found
+    out = [j for j in range(n) if j not in t]
+    det = -1 if sum(1 for s in out for j in t if j < s) & 1 else 1
+    x = _unit_row(bt, c, det)
+    if not inverse:
+        m = [[int(j == s) for j in range(n)] for s in out]
+        if z is not None:
+            for row, zs in zip(m, z):
+                for j, e in zip(t, zs):
+                    row[j] = -e
+        xs = [0] * n
+        for j, e in zip(t, x):
+            xs[j] = e
+        return m + [xs] + b
+    # sol[p] is row p of G [C_S | I]
+    ct, bs = [x, *bt], [[row[j] for j in out] for row in b]
+    if r <= _CLOSED_MAX:
+        adj = [c] + [_cofactors(ct[:i] + ct[i + 1 :]) for i in range(1, r + 1)]
+        gt = [col if (i & 1) == (det < 0) else [-e for e in col] for i, col in enumerate(adj)]
+        sol = [[_dot(g[1:], col) for col in zip(*bs)] + list(g) for g in zip(*gt)]
+    else:
+        eye = _identity_rows(r + 1)
+        cols, d, m = _eliminate([p + q + e for p, q, e in zip(ct, [[0] * len(out), *bs], eye)])
+        sol = [[]] * (r + 1)
+        for p, row in zip(cols, m):
+            sol[p] = [e // d for e in row[r + 1 :]]
+    inv = [[0] * n for _ in range(n)]
+    for a, s in enumerate(out):
+        inv[s][a] = 1
+    for j, row in zip(t, sol):
+        inv[j] = [-e for e in row[: len(out)]] + row[len(out) :]
+    if z is not None:
+        for s, zs in zip(out, z):
+            for j, e in zip(t, zs):
+                if e:
+                    inv[s] = [p + e * q for p, q in zip(inv[s], inv[j])]
+    return inv
+
+
 def hnf(a: IntMatrix) -> HnfResult:
-    """Column-operation Hermite normal form: A = H @ U, U in GL_n(Z)."""
+    """Column-operation Hermite normal form: A = H @ U, U in GL_n(Z).
+
+    U is the completion of the rows B with A = H_r @ B (_complete), so its
+    entries stay about as large as A's; det U = 1 below full column rank."""
     if a.rows > a.cols:
         raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
-    h = a.to_rows()
-    u = IntMatrix.identity(a.cols).to_rows()
-    det = _column_reduce(h, u=u)
-    return HnfResult(IntMatrix.from_rows(h), IntMatrix.from_rows(u), det)
+    h, piv, det = _hermite(a)
+    u = _complete(_pivot_basis(a.to_rows(), h, piv), a.cols, False)
+    # at r = n, U = V^-1 is the only transform; below, _complete makes det U = 1
+    return HnfResult(_matrix(h), _matrix(u), det if len(piv) == a.cols else 1)
 
 
-def _is_oi_block(h: IntMatrix) -> bool:
-    k, n = h.rows, h.cols
-    for i in range(k):
-        for j in range(n):
-            if h[i, j] != (1 if j == n - k + i else 0):
-                return False
-    return True
+def _is_oi_block(h: list[list[int]]) -> bool:
+    """Whether the rows h are the block [O | I_k]."""
+    k, n = len(h), len(h[0])
+    return all(row[j] == (j == n - k + i) for i, row in enumerate(h) for j in range(n))
 
 
 def is_trivial_hnf(a: IntMatrix) -> bool:
     """Whether the Hermite form of a equals the block [O_{k x (n-k)} | I_k].
 
     The block itself is canonical, so inputs already equal to it short-circuit
-    without recomputing the form.
+    without recomputing the form; otherwise H comes from elimination alone.
     """
     if a.rows > a.cols:
         raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
-    if _is_oi_block(a):
-        return True
-    return _is_oi_block(hnf(a).H)
+    return _is_oi_block(a.to_rows()) or _is_oi_block(_hermite(a)[0])
 
 
 def complete_to_gl(a: IntMatrix) -> IntMatrix:
@@ -180,21 +482,15 @@ def complete_to_gl(a: IntMatrix) -> IntMatrix:
     k, n = a.rows, a.cols
     if k > n:
         raise ValueError(f"need k <= n, got {k}x{n}")
-    if k == n:
-        d = a.det()
-        if d in (1, -1):
-            return a
-        raise NotUnimodularError(abs(d))
-    res = hnf(a)
-    h = res.H
-    if not _is_oi_block(h):  # H is canonical: no second hnf needed
-        # A = H @ U keeps the minor gcd. At rank k, H = [O | T] with T lower
+    h, _, _ = _hermite(a)
+    if not _is_oi_block(h):  # H is canonical
+        # A = H @ U keeps the minor gcd. At rank k, H = [O | T] with T upper
         # triangular, so the gcd is det T, the product of its diagonal.
         # Below rank k, the bottom-most row without a pivot is 0 on T's
         # diagonal, and the product is 0.
-        raise NotUnimodularError(math.prod(h[i, n - k + i] for i in range(k)))
-    # A = [O | I_k] @ U selects the last k rows of U, so U is a completion.
-    return res.U
+        raise NotUnimodularError(math.prod(h[i][n - k + i] for i in range(k)))
+    # H = [O | I_k] makes B = A, so the completion of B completes A
+    return _matrix(_complete(a.to_rows(), n, False))
 
 
 def _diagonal_positions(s: list[list[int]]) -> list[tuple[int, int]] | None:
@@ -210,25 +506,21 @@ def _diagonal_positions(s: list[list[int]]) -> list[tuple[int, int]] | None:
     return want if nonzero == want else None
 
 
-def snf(a: IntMatrix) -> SnfResult:
-    """Smith normal form with transforms: L @ A @ R = S.
+def _smith(s: list[list[int]], r_rows: list[list[int]]) -> tuple[list[list[int]], list[list[int]]]:
+    """(S, L) with L @ s @ R = S for the k x m matrix s in column-Hermite
+    form, any shape; R is accumulated in place into r_rows, whose rows
+    have m entries.
 
-    Alternates column-Hermite and row-Hermite (the same kernel on the
-    transpose) until the matrix is diagonal in the bottom-right placement,
-    then repairs the divisibility chain with the 2x2 gcd step
-    diag(a, b) -> diag(gcd, lcm). Raises SmithConvergenceError if the
-    alternation has not reached that placement after 200 rounds.
+    Alternates row-Hermite (the column kernel on the transpose; s is
+    column-reduced already) and column-Hermite reduction until the matrix
+    is diagonal in the bottom-right placement, then repairs the divisibility chain with the
+    2x2 gcd step diag(a, b) -> diag(gcd, lcm). Raises SmithConvergenceError
+    if the alternation has not reached that placement after 200 rounds.
     """
-    if a.rows > a.cols:
-        raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
-    k, n = a.rows, a.cols
-    s = a.to_rows()
+    k, m = len(s), len(s[0])
     # L is kept transposed: row steps on s are column steps on its transpose
-    lt = IntMatrix.identity(k).to_rows()
-    r_rows = IntMatrix.identity(n).to_rows()
-
+    lt = _identity_rows(k)
     for _ in range(_SNF_ROUNDS):
-        _column_reduce(s, v=r_rows)
         if _diagonal_positions(s) is not None:
             break
         t = _transpose_rows(s)
@@ -236,6 +528,7 @@ def snf(a: IntMatrix) -> SnfResult:
         s = _transpose_rows(t)
         if _diagonal_positions(s) is not None:
             break
+        _column_reduce(s, v=r_rows)
     else:
         raise SmithConvergenceError(
             f"the Smith form did not converge within {_SNF_ROUNDS} rounds of "
@@ -263,7 +556,7 @@ def snf(a: IntMatrix) -> SnfResult:
         i1, p1, i2, p2 = bad
         av, bv = s[i1][p1], s[i2][p2]
         # row_i1 += row_i2: block becomes [[a, b], [0, b]]
-        s[i1] = [s[i1][c] + s[i2][c] for c in range(n)]
+        s[i1] = [s[i1][c] + s[i2][c] for c in range(m)]
         l_rows[i1] = [l_rows[i1][c] + l_rows[i2][c] for c in range(k)]
         # column transform sends (a, b) in row i1 to (g, 0)
         g, x, y = _xgcd(av, bv)
@@ -274,14 +567,38 @@ def snf(a: IntMatrix) -> SnfResult:
                 row[p1] = x * c1 + y * c2
                 row[p2] = p * c1 + q * c2
         # row_i2 -= y*(b/g) * row_i1 clears the (i2, p1) entry, leaving lcm
-        m = y * (bv // g)
-        s[i2] = [s[i2][c] - m * s[i1][c] for c in range(n)]
-        l_rows[i2] = [l_rows[i2][c] - m * l_rows[i1][c] for c in range(k)]
+        f = y * (bv // g)
+        s[i2] = [s[i2][c] - f * s[i1][c] for c in range(m)]
+        l_rows[i2] = [l_rows[i2][c] - f * l_rows[i1][c] for c in range(k)]
+    return s, l_rows
 
-    factors = tuple(s[i][j] for i, j in pos)
+
+def snf(a: IntMatrix) -> SnfResult:
+    """Smith normal form with transforms: L @ A @ R = S.
+
+    With H = [O | H_r] and M the completion of _complete, A = H_r @ B and
+    A @ M^-1 = H. _smith reduces the k x r block H_r alone, L @ H_r @ R_r =
+    S_r, and carries R_r on the last r columns of M^-1, so R = M^-1 @
+    diag(I, R_r) and S = [O | S_r]. A unimodular A has H_r = S_r = I_k and
+    takes L = I, R = M^-1.
+    """
+    if a.rows > a.cols:
+        raise ValueError(f"need k <= n, got {a.rows}x{a.cols}")
+    k, n = a.rows, a.cols
+    h, piv, _ = _hermite(a)
+    r = len(piv)
+    rinv = _complete(_pivot_basis(a.to_rows(), h, piv), n, True)
+    if r == 0 or _is_oi_block(h):
+        l_rows, s = _identity_rows(k), h
+    else:
+        tail = [row[n - r :] for row in rinv]
+        s_r, l_rows = _smith([row[n - r :] for row in h], tail)
+        s = [[0] * (n - r) + row for row in s_r]
+        rinv = [row[: n - r] + t for row, t in zip(rinv, tail)]
+    factors = tuple(s[k - r + l][n - r + l] for l in range(r))
     return SnfResult(
-        IntMatrix.from_rows(s),
+        _matrix(s),
         factors,
-        IntMatrix.from_rows(l_rows),
-        IntMatrix.from_rows(r_rows),
+        _matrix(l_rows),
+        _matrix(rinv),
     )

@@ -6,6 +6,8 @@ import contextlib
 import io
 import json
 import os
+import random
+import re
 import subprocess
 import sys
 import time
@@ -535,6 +537,41 @@ def test_analyze_entry_past_the_str_digits_limit_exits_2(tmp_path, capsys):
         "digits for reading an integer; raise the limit with the PYTHONINTMAXSTRDIGITS "
         "environment variable (0 removes it), got '11111111111111111111'...\n"
     )
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter prints integers of any length")
+def test_analyze_output_past_the_str_digits_limit_names_it(tmp_path, capsys):
+    # entries of about a quarter of the limit (1,075 digits by default) are
+    # read, but the 6 x 6 minors in R are about 6 times as long; the message
+    # was Python's own, which names neither the length nor how to lift it
+    limit = sys.get_int_max_str_digits()
+    rnd = random.Random(14)
+    digits = limit // 4
+    rows = [[rnd.randrange(10 ** (digits - 1), 10**digits) for _ in range(14)] for _ in range(6)]
+    path = _write(tmp_path, "m.txt", "6 14\n" + "".join(" ".join(map(str, r)) + "\n" for r in rows))
+    code, out, err = _run(capsys, "analyze", path, "--mode", "snf")
+    assert (code, out) == (2, "")
+    m = re.fullmatch(
+        r"error: an output entry has (\d+) digits, past the limit of (\d+) digits for "
+        r"integer string conversion; raise the limit with the PYTHONINTMAXSTRDIGITS "
+        r"environment variable \(0 removes it\)\n",
+        err,
+    )
+    assert m and int(m[1]) > limit and int(m[2]) == limit, err
+
+
+@pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
+                    reason="this interpreter prints integers of any length")
+@pytest.mark.parametrize("mode", ["unimodular", "complete"])
+def test_analyze_minor_gcd_past_the_str_digits_limit_names_it(tmp_path, capsys, mode):
+    # the minor gcd 10^(2e) has 2e + 1 digits, past the limit; in complete
+    # mode the refusal carries it
+    e = sys.get_int_max_str_digits() // 2 + 1
+    path = _write(tmp_path, "m.txt", f"2 3\n1{'0' * e} 0 0\n0 1{'0' * e} 0\n")
+    code, out, err = _run(capsys, "analyze", path, "--mode", mode)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: an output entry has {2 * e + 1} digits, past the limit")
 
 
 def test_analyze_snf_round_cap_exits_2(tmp_path, capsys, monkeypatch):

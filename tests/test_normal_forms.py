@@ -6,6 +6,7 @@ equations (A = H·U, S = L·A·R, determinant conditions) which leave no room
 for a wrong-but-consistent implementation.
 """
 
+import hashlib
 import math
 import random
 
@@ -15,7 +16,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
+from unimat import normal_forms
 from unimat.matrix import IntMatrix, full_rank_minor_gcd, is_unimodular, minors
+from unimat.matrixfile import parse_matrix
 from unimat.normal_forms import (
     NotUnimodularError,
     complete_to_gl,
@@ -372,3 +375,157 @@ def test_complete_to_gl_refusal_carries_the_minor_gcd(a):
     with pytest.raises(NotUnimodularError) as exc:
         complete_to_gl(a)
     assert exc.value.minor_gcd == g
+
+
+# ---------------------------------------------------------------------------
+# one completion for U, L, R and complete_to_gl: exact, unimodular, small
+
+
+def _ranked(rnd, k, n, rank, bits):
+    """A k x n matrix of rank `rank`: C @ D with D's rank x n entries of
+    `bits` bits and C the rows of I_rank and small ones, shuffled (zero
+    when rank = 0)."""
+    if rank == 0:
+        return IntMatrix(k, n, (0,) * (k * n))
+    d = [[rnd.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)] for _ in range(rank)]
+    c = [[int(i == j) for j in range(rank)] for i in range(rank)]
+    c += [[rnd.getrandbits(3) - 4 for _ in range(rank)] for _ in range(k - rank)]
+    rnd.shuffle(c)
+    return IntMatrix.from_rows([[sum(x * y for x, y in zip(row, col)) for col in zip(*d)] for row in c])
+
+
+@st.composite
+def _ranked_matrices(draw):
+    """k x n matrices, k <= n <= 7, of every rank 0..k, with small entries
+    or entries of about 130 bits."""
+    k = draw(st.integers(1, 7))
+    n = draw(st.integers(k, 7))
+    rank = draw(st.integers(0, k))
+    bits = draw(st.sampled_from((3, 130)))
+    return _ranked(random.Random(draw(st.integers(0, 2**32))), k, n, rank, bits)
+
+
+def _assert_transforms(a):
+    k, n = a.rows, a.cols
+    res = hnf(a)
+    assert res.H @ res.U == a
+    assert res.U.det() == res.detU and res.detU in (1, -1)
+    _assert_hermite_shape(res.H)
+    s = snf(a)
+    assert s.L @ a @ s.R == s.S
+    assert abs(s.L.det()) == 1 and abs(s.R.det()) == 1
+    _assert_smith_placement(s.S, s.invariant_factors)
+    sym = smith_normal_form(sympy.Matrix(a.to_rows()))
+    theirs = sorted(abs(sym[i, j]) for i in range(k) for j in range(n) if sym[i, j] != 0)
+    assert sorted(s.invariant_factors) == theirs
+    if full_rank_minor_gcd(a) == 1:
+        m = complete_to_gl(a)
+        assert m.entries[(n - k) * n :] == a.entries and abs(m.det()) == 1
+    return res, s
+
+
+@settings(max_examples=120, deadline=None)
+@given(_ranked_matrices())
+@example(IntMatrix.from_rows([[6, 10, 15]]))  # no 2-column window has gcd 1
+@example(IntMatrix.from_rows([[0, 0, 1, 0], [0, 0, 0, 1]]))  # already [O | I]
+@example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))  # rank 0
+@example(IntMatrix.from_rows([[2, 0, 0], [0, 3, 0], [0, 0, 5]]))  # k = n, full rank
+def test_transforms_property(a):
+    _assert_transforms(a)
+
+
+def _window_path(b, n):
+    """Which way _complete builds the completion of b: 'window', 'mixed'
+    (the other columns mixed into the window first) or 'hermite' (neither
+    has gcd 1)."""
+    found = normal_forms._window(b, n)
+    return "hermite" if found is None else "window" if found[1] is None else "mixed"
+
+
+def _common_factor_matrices(r, count):
+    """Small k x n matrices, n >= k + 2, whose entries share factors 2, 3
+    and 6, so that many windows fail."""
+    for _ in range(count):
+        k = r.randint(1, 4)
+        n = r.randint(k + 2, 7)
+        yield IntMatrix.from_rows(
+            [[r.randint(-6, 6) * r.choice((1, 2, 3, 6)) for _ in range(n)] for _ in range(k)]
+        )
+
+
+def test_every_completion_path_is_exact(monkeypatch):
+    seen = set()
+    for a in _common_factor_matrices(random.Random(91), 300):
+        h, piv, _ = normal_forms._hermite(a)
+        b = normal_forms._pivot_basis(a.to_rows(), h, piv)
+        if 0 < len(b) < a.cols:
+            seen.add(_window_path(b, a.cols))
+        _assert_transforms(a)
+    assert seen == {"window", "mixed"}
+    # about 1 in 3,000 of these has neither; the Hermite completion is
+    # checked on all of them
+    monkeypatch.setattr(normal_forms, "_window", lambda b, n: None)
+    for a in _common_factor_matrices(random.Random(92), 100):
+        _assert_transforms(a)
+
+
+def _pinned_sample():
+    """Seeded matrices of every shape k <= n <= 6 and rank, small and
+    130-bit, whose H and S are pinned below."""
+    for n in range(1, 7):
+        for k in range(1, n + 1):
+            for rank in range(k + 1):
+                for bits in (3, 130):
+                    yield _ranked(random.Random(f"pin/{k}x{n}/{rank}/{bits}"), k, n, rank, bits)
+
+
+# sha256 over the H and S of _pinned_sample, as computed by the column
+# elimination and Smith alternation that carried U, V and L through the
+# whole matrix: the completion changes U, L and R, never H or S
+_PINNED_HS = "2a0a6a6af128a332d40658f168b95e7209cdf4034ebabf1d7f90b7496d04f3b6"
+
+
+def test_h_and_s_are_pinned():
+    digest = hashlib.sha256()
+    for a in _pinned_sample():
+        digest.update(repr((hnf(a).H.entries, snf(a).S.entries)).encode())
+    assert digest.hexdigest() == _PINNED_HS
+
+
+# A 6 x 14 input of the benchmark's analyze corpus (seed 1), the last rows
+# of a unit-triangular product: with U and R built through the whole
+# elimination, U reached 15,933 bits and L, R 34,378
+_BENCHMARK_6X14 = """6 14
+12069100554556292969 -88333609963770479423454860586655639399 -72983477151070872762976047171532951799 -190910986388030911993299467535480923627 -192978854844987111405485425533883220289 -79530589304506826170025767632114684233 -5578342318611234025555893285749012158 47452606583972619542666233073307532337 179161156667742961513088480105157047302 60614129087116620597064452193196973270 -68769757628962777524542818370198963691 224018209307360786118090752940066915175 -125663832925454228309037590473549055271 -143850160641027180265562773963293847010
+7547089193154833430 -55237060138524579093293983008130564678 135628191740830404948288485364319072297 -164392414702044782671980140566176080972 -246781392500273230672514082056331306379 5432493535441385166301477950493218486 -332751210317626223376412837628725743286 51616846153622699851940617525959364251 460283441872376381528567754677761187174 72506225114856393566981372006060547575 -362708149307046619169332414373132512709 -55592328402749729257662206142032235672 -399526509906821774152795492710975919752 240294661438768358300588322231431870329
+-1677548503432013870 12277958454951178676252138441423189464 -138101293139921510068741872460311636478 65077355822609624289583475385665855537 146020341192355220788490010130521576875 186932399957787657126180785084603922651 -152885212326422340816788823579817048730 413591729599154332098559107122512614386 -112666633049094754770004484644106435268 -180466447121217322793810580756565387529 222898766963040099876225461669976359030 119432366294757895411863198403804402437 87840102696072757397924234868004139468 -125176776602434230654442821527477582859
+2621019343942272896 -19183210827412486312135888854245033502 1223478119078715558421624761016726347 -31631407675586133837460452279813095423 -80283332266512051238667880088281248886 -57357611171775622825456376398683743224 51469910730315589420578721141976370762 58338841140423754944846061799818685437 1216336370027025134647984719706593263 -2119622576296615854760868849600344715 -145422808079089679125384926586092086304 12077223765092615057192387328514923631 48415270692943755470530807476630876104 -19798748734274605072296194678668208420
+2794860943369496073 -20455555520363543264937530269816882430 -93645101479092541313091005393574407898 -65398097807264857819830524895245517769 43072617246448606910987814114791514054 -178522919489164453923727411593283112414 23010223373026142152998970616902043835 -240901593088946985643077190198050995682 -75345683848469869853458834853761855848 477566970931769081820939127039725617485 -71827407449653584390640170619515884274 101001505405452963807536967167073761719 137121354371312573767213576420519137305 -39313801198669497322335604913078822579
+16213449344794586222 -118666051717479287679491598412052396574 86555365972557380038117367560990556469 -257503561144154735291542772151346998563 -452086402284406908394680332322261749975 -201616620488770754961234586223008827516 390829767151161786683306707246569482905 -226223036786793277066221313631763818437 171513929442446929345349742457332841619 -290144899594218700280366887769403240514 -743265454205667087205425745523310207717 194667678595385224014559611058345209101 335543636832919044993929574243676425582 5531176429640352892155087947467901272
+"""
+
+
+def _unimodular_6x14(r):
+    """The last 6 rows of a unit lower times a unit upper triangular 14 x 14
+    matrix, entries below and above the diagonal in [-2^64, 2^64], rows
+    shuffled: about 130 bits."""
+    n, mag = 14, 2**64
+    low = [[1 if i == j else r.randint(-mag, mag) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else r.randint(-mag, mag) if j > i else 0 for j in range(n)] for i in range(n)]
+    m = (IntMatrix.from_rows(low) @ IntMatrix.from_rows(up)).to_rows()
+    r.shuffle(m)
+    return IntMatrix.from_rows(m[n - 6 :])
+
+
+def _bits(m):
+    return max(abs(e).bit_length() for e in m.entries)
+
+
+def test_transforms_stay_near_the_input_size():
+    r = random.Random(14)
+    mats = [parse_matrix(_BENCHMARK_6X14)] + [_unimodular_6x14(r) for _ in range(8)]
+    for a in mats:
+        res, s = _assert_transforms(a)
+        assert _bits(complete_to_gl(a)) <= _bits(a) + 8
+        assert _bits(res.U) < 2000
+        assert max(_bits(s.L), _bits(s.R)) < 2000
