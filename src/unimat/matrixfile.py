@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 import sys
+from itertools import chain
 
 from .matrix import IntMatrix
 
@@ -26,63 +27,84 @@ class MatrixFileError(ValueError):
         super().__init__(f"line {line}, column {column}: {message}")
 
 
-def _tokenize(text: str) -> list[tuple[int, int, str]]:
-    """(line, column, token) triples, comments and blanks removed."""
-    out = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        for m in _TOKEN.finditer(body):
-            out.append((lineno, m.start() + 1, m.group()))
-    return out
+def _where(text: str, words: list[list[str]], t: int) -> tuple[int, int, str]:
+    """(line, column, token) of token t, words being the tokens of each
+    line. Only an error wants a column, so it comes from scanning that one
+    line again."""
+    for lineno, line in enumerate(words, start=1):
+        if t < len(line):
+            body = text.splitlines()[lineno - 1].split("#", 1)[0]
+            m = list(_TOKEN.finditer(body))[t]
+            return lineno, m.start() + 1, m.group()
+        t -= len(line)
+    raise IndexError(t)
 
 
-def _as_int(tok: tuple[int, int, str], what: str) -> int:
-    line, col, text = tok
+def _int(tok: str) -> int | None:
     try:
-        return int(text, 10)
+        return int(tok)
     except ValueError:
-        pass
+        return None
+
+
+def _int_error(tok: tuple[int, int, str], what: str) -> MatrixFileError:
+    line, col, text = tok
     shown = repr(text) if len(text) <= _SHOWN else repr(text[:_SHOWN]) + "..."
     digits = (text[1:] if text[:1] in "+-" else text).replace("_", "")
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     if digits.isdecimal() and limit and len(digits) > limit:
-        raise MatrixFileError(
+        return MatrixFileError(
             f"{what} has {len(digits)} digits, past the limit of {limit} digits for "
             f"reading an integer; raise the limit with the PYTHONINTMAXSTRDIGITS "
             f"environment variable (0 removes it), got {shown}",
             line, col,
         )
-    raise MatrixFileError(f"{what} must be an integer, got {shown}", line, col)
+    return MatrixFileError(f"{what} must be an integer, got {shown}", line, col)
 
 
 def parse_matrix(text: str) -> IntMatrix:
-    """Parse matrix text; raises MatrixFileError with position on bad input."""
-    toks = _tokenize(text)
+    """Parse matrix text; raises MatrixFileError with position on bad input.
+
+    Each line is split on whitespace after its comment is stripped; a
+    token's column is found only for an error."""
+    words = [line.split("#", 1)[0].split() for line in text.splitlines()]
+    toks = list(chain.from_iterable(words))
     if not toks:
         raise MatrixFileError("empty input, expected a 'k n' header", 1, 1)
-    if len(toks) < 2 or toks[1][0] != toks[0][0]:
-        line, col, text_ = toks[0]
+    if len(next(filter(None, words))) < 2:
+        line, col, text_ = _where(text, words, 0)
         raise MatrixFileError(
             "header must be two integers 'k n' on one line", line, col + len(text_)
         )
-    k = _as_int(toks[0], "row count")
-    n = _as_int(toks[1], "column count")
-    for value, tok, what in ((k, toks[0], "row count"), (n, toks[1], "column count")):
+    whats = ("row count", "column count")
+    size = [_int(toks[0]), _int(toks[1])]
+    for t, (value, what) in enumerate(zip(size, whats)):
+        if value is None:
+            raise _int_error(_where(text, words, t), what)
+    for t, (value, what) in enumerate(zip(size, whats)):
         if value < 1:
-            raise MatrixFileError(f"{what} must be positive, got {value}", tok[0], tok[1])
+            line, col, _ = _where(text, words, t)
+            raise MatrixFileError(f"{what} must be positive, got {value}", line, col)
+    k, n = size
     body = toks[2:]
     if len(body) < k * n:
-        line, col, text_ = toks[-1]
+        line, col, text_ = _where(text, words, len(toks) - 1)
         raise MatrixFileError(
             f"expected {k * n} entries for a {k} x {n} matrix, got {len(body)}",
             line, col + len(text_),
         )
     if len(body) > k * n:
-        line, col, _ = body[k * n]
+        line, col, _ = _where(text, words, 2 + k * n)
         raise MatrixFileError(
             f"expected {k * n} entries for a {k} x {n} matrix, got {len(body)}", line, col
         )
-    entries = tuple(_as_int(t, "entry") for t in body)
+    try:
+        entries = tuple(map(int, body))
+    except ValueError:
+        entries = None
+    if entries is None:
+        t = next(t for t, tok in enumerate(body, start=2) if _int(tok) is None)
+        raise _int_error(_where(text, words, t), "entry")
     return IntMatrix(k, n, entries)
 
 

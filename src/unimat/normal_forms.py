@@ -17,7 +17,8 @@ The Smith form has both row and column operations available and yields
 L @ A @ R = S with S = [O | diag(d_1..d_r)] placed in the bottom-right
 corner (zero rows on top), d_i > 0 and d_1 | d_2 | ... | d_r.
 
-H comes from elimination without a transform. The transforms all come from
+H comes from elimination modulo a nonzero maximal minor d (_sweep), which
+carries no transform and writes no entry above d. The transforms all come from
 one completion M in GL_n(Z) whose last r rows are the r rows B with
 A = H_r @ B, H_r the pivot columns of H (so B = A when A is unimodular):
 U = M, the completion of a unimodular A is M, and S = L @ A @ R with
@@ -36,6 +37,7 @@ from itertools import chain
 from .matrix import (
     _CLOSED_MAX,
     IntMatrix,
+    _bareiss,
     _minor_gcd_mod,
     _minors_kernel,
     _xgcd,
@@ -103,7 +105,11 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 
 def _column_reduce(h: list[list[int]], v: list[list[int]] | None = None) -> int:
-    """Reduce h in place to column-Hermite form; h may be any shape.
+    """Reduce h in place to column-Hermite form, carrying a transform; h
+    may be any shape. It serves _smith and the completion of _complete
+    when no window has gcd 1; H itself comes from _sweep, whose modular
+    entries stay below a minor, while the exact entries here can grow far
+    past those of H.
 
     Writing A for the input and H for the reduced output, H = A @ V with
     V in GL_n(Z). A caller that passes v has it multiplied by V in place:
@@ -153,20 +159,166 @@ def _column_reduce(h: list[list[int]], v: list[list[int]] | None = None) -> int:
     return det
 
 
-def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
-    """(H, pivot rows top-down, det V) for A @ V = H, by elimination alone.
+def _sweep(rows: list[list[int]], d: int) -> list[list[int]]:
+    """The last r columns of the column Hermite form of r x n rows of rank
+    r, by elimination modulo d, the absolute value of a nonzero r x r minor
+    (Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
+    Algorithm 2.4.8). Row l of the result is l zeros, its pivot, then its
+    entries in the pivot columns of the rows below.
 
-    The pivot of the l-th pivot row is in column n - r + l."""
-    h = a.to_rows()
-    det = _column_reduce(h)
-    piv = []
-    pc = len(h[0]) - 1
-    for i in range(len(h) - 1, -1, -1):
-        if pc >= 0 and h[i][pc]:
+    The column lattice L of the rows has index det L | d in Z^r, and a
+    lattice of index t in Z^m contains t Z^m, so L holds R e_j for R = d:
+    every entry an operation writes is reduced below R. The columns are
+    kept as lists of their entries in the rows not yet done, and the rows
+    are taken bottom-up. Row i gets pivot g = gcd(R, its entries), and p
+    is a column whose entry a in row i has gcd(a, R) = g: one with a unit
+    entry when g = 1, else the first that has one, else the row gathered
+    into one column by 2-column xgcd steps. With a = g a', the other
+    columns c become a' c - (c_i / g) p when a' is a unit modulo R, since
+    scaling by a unit keeps L and needs no inverse, and c - (c_i / g) a'^-1
+    p otherwise, a'^-1 taken modulo R / g. The part of L that is zero on
+    row i has index det L / g, so the elimination goes on modulo R / g
+    without p (Cohen's step 4), and the pivot column is a'^-1 p with g in
+    row i.
+
+    Only the pivots above row i matter for that column's entries, which
+    are reduced against the pivot columns of the rows above and so taken
+    modulo the product M of those pivots, which divides R / g. They are
+    read off after the sweep: no inverse is needed when M = 1, as for
+    every unimodular input, whose H is [O | I]."""
+    r = len(rows)
+    cols = [list(col) for col in zip(*rows)]
+    mod = d
+    found: list[tuple[int, int, list[int]]] = [(1, 1, [])] * r  # (g, a', p) by row
+    for i in range(r - 1, -1, -1):
+        if mod == 1:
+            break  # the rows above all have pivot 1
+        row = [c[i] % mod for c in cols]
+        g, j = mod, None
+        for t, e in enumerate(row):
+            if e:
+                h = math.gcd(e, mod)
+                if h == 1:
+                    g, j = 1, t
+                    break
+                g = math.gcd(g, h)
+        if i == 0 or g == mod:
+            # nothing left to clear; a row 0 modulo R has pivot column R e_i
+            found[i] = (g, 1, [0] * i)
+            mod //= g
+            continue
+        if j is None:
+            j = next((t for t, e in enumerate(row) if e and math.gcd(e, mod) == g), None)
+        if j is None:
+            nz = [t for t, e in enumerate(row) if e]
+            j, p = nz[0], cols[nz[0]]
+            for t in nz[1:]:
+                c, a, b = cols[t], p[i] % mod, row[t]
+                h, x, y = _xgcd(a, b)
+                a, b = a // h, b // h  # [[x, -b], [y, a]] has determinant 1
+                cols[t] = [(a * ct - b * pt) % mod for pt, ct in zip(p, c)]
+                p = [(x * pt + y * ct) % mod for pt, ct in zip(p, c)]
+                row[t] = 0
+                if math.gcd(h, mod) == g:
+                    break
+            cols[j], row[j] = p, p[i]
+        p, a = cols.pop(j)[:i], row.pop(j) // g
+        next_mod = mod // g
+        if math.gcd(a, mod) == 1:
+            for t, f in enumerate(row):
+                if f:
+                    f //= g
+                    cols[t] = [(a * x - f * y) % next_mod for x, y in zip(cols[t], p)]
+        else:
+            inv = pow(a, -1, next_mod)
+            for t, f in enumerate(row):
+                if f:
+                    f = f // g * inv % next_mod
+                    cols[t] = [(x - f * y) % next_mod for x, y in zip(cols[t], p)]
+        found[i] = (g, a, p)
+        mod = next_mod
+    out = [[0] * l + [g] + [0] * (r - 1 - l) for l, (g, _, _) in enumerate(found)]
+    m = 1
+    for i, (g, a, p) in enumerate(found):
+        if m > 1:
+            u = pow(a, -1, m)
+            x = [u * e % m for e in p]
+            for l in range(i - 1, -1, -1):
+                q, x[l] = divmod(x[l], out[l][l])
+                if q:
+                    for t in range(l):
+                        x[t] = (x[t] - q * out[t][l]) % m
+                out[l][i] = x[l]
+        m *= g
+    return out
+
+
+def _dependencies(rows: list[list[int]]) -> tuple[list[int], int, dict[int, list[int]]]:
+    """(pivot rows top-down, d, relations) for rows of rank below their
+    number: row i pivots when it is not in the span of the rows below it,
+    d is a nonzero maximal minor of the pivot rows, and each other row i
+    has a vector c with c @ A = 0, c_i != 0 and c_l = 0 off the pivot rows.
+
+    Fraction-free elimination (Bareiss) of [reversed rows | I], one row at
+    a time: each row takes the steps of the pivot rows before it, which
+    keeps the divisions exact, and a row left zero on the columns of A is
+    a relation, read off its identity part."""
+    k, n = len(rows), len(rows[0])
+    done: list[tuple[int, list[int]]] = []
+    piv: list[int] = []
+    rel: dict[int, list[int]] = {}
+    for i in range(k - 1, -1, -1):
+        x = rows[i] + [0] * k
+        x[n + i] = 1
+        prev = 1
+        for c, p in done:
+            f, pv = x[c], p[c]
+            x = [(pv * a - f * b) // prev for a, b in zip(x, p)]
+            prev = pv
+        c = next((c for c in range(n) if x[c]), None)
+        if c is None:
+            rel[i] = x[n:]
+        else:
+            done.append((c, x))
             piv.append(i)
-            pc -= 1
     piv.reverse()
-    return h, piv, det
+    return piv, done[-1][1][done[-1][0]] if done else 0, rel
+
+
+def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
+    """(H, pivot rows top-down, det V) for A @ V = H with det V given at
+    rank n (the sign of det A) and 1 below it. The pivot of the l-th pivot
+    row is in column n - r + l.
+
+    H comes from _sweep on the pivot rows, modulo the minor _bareiss
+    returns, so no entry exceeds it. That is one minor, not the minor gcd,
+    so H = [O | I] stays a test of unimodularity independent of
+    full_rank_minor_gcd. Below rank k, each other row is a rational
+    combination of the pivot rows below it (_dependencies), and column
+    operations keep that combination, so its row of H is the same
+    combination of their rows of H, by exact division."""
+    rows = a.to_rows()
+    n = a.cols
+    d = _bareiss(rows)
+    if d:
+        piv, rel, top = list(range(a.rows)), {}, rows
+    else:
+        piv, d, rel = _dependencies(rows)
+        top = [rows[i] for i in piv]
+    r = len(piv)
+    if r == 0:
+        return rows, [], 1
+    t = _sweep(top, abs(d))
+    h = [[]] * a.rows
+    for i, tr in zip(piv, t):
+        h[i] = [0] * (n - r) + tr
+    for i, c in rel.items():
+        comb = [0] * r
+        for p, tp in zip(piv, t):
+            if c[p]:
+                comb = [x + c[p] * y for x, y in zip(comb, tp)]
+        h[i] = [0] * (n - r) + [-(e // c[i]) for e in comb]
+    return h, piv, (1 if d > 0 else -1) if r == n else 1
 
 
 def _pivot_basis(a: list[list[int]], h: list[list[int]], piv: list[int]) -> list[list[int]]:
@@ -199,8 +351,10 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, list[list[int]]] 
     step every entry is a minor of the rows, so the divisions by the
     previous pivot are exact. At the end row i of m holds the last pivot d
     at column cols[i] and 0 at the other pivot columns; d is the minor on
-    the pivot columns, in the order cols lists them."""
-    m = [list(row) for row in rows]
+    the pivot columns, in the order cols lists them. Each step is one pass
+    over every other row: the pivot columns already cleared stay cleared,
+    and the earlier pivots become the new one."""
+    m = list(rows)
     free = list(range(len(m[0])))
     cols: list[int] = []
     prev = 1
@@ -211,14 +365,9 @@ def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, list[list[int]]] 
         free.remove(c)
         piv = row[c]
         for l, ml in enumerate(m):
-            if l == i:
-                continue
-            f = ml[c]
-            for j in free:
-                ml[j] = (piv * ml[j] - f * row[j]) // prev
-            ml[c] = 0
-            if l < i:
-                ml[cols[l]] = piv
+            if l != i:
+                f = ml[c]
+                m[l] = [(piv * x - f * y) // prev for x, y in zip(ml, row)]
         cols.append(c)
         prev = piv
     return cols, prev, m
@@ -364,11 +513,15 @@ def _window(
 
 
 def _inverse(m: list[list[int]]) -> list[list[int]]:
-    """M^-1 for a square M with det +-1: M's column Hermite form is I, so
-    the transform of _column_reduce, M @ V = I, is M^-1."""
-    v = _identity_rows(len(m))
-    _column_reduce([list(row) for row in m], v=v)
-    return v
+    """M^-1 for a square M with det +-1, by one fraction-free Gauss-Jordan
+    elimination of [M | I]: it leaves row i as d e_c on M's side, c =
+    cols[i], and d times row c of M^-1 on the other, d the last pivot."""
+    n = len(m)
+    cols, d, rows = _eliminate([row + e for row, e in zip(m, _identity_rows(n))])
+    inv = [[]] * n
+    for c, row in zip(cols, rows):
+        inv[c] = [e // d for e in row[n:]]
+    return inv
 
 
 def _complete(b: list[list[int]], n: int, inverse: bool) -> list[list[int]]:

@@ -9,6 +9,7 @@ for a wrong-but-consistent implementation.
 import hashlib
 import math
 import random
+import time
 
 import pytest
 import sympy
@@ -529,3 +530,101 @@ def test_transforms_stay_near_the_input_size():
         assert _bits(complete_to_gl(a)) <= _bits(a) + 8
         assert _bits(res.U) < 2000
         assert max(_bits(s.L), _bits(s.R)) < 2000
+
+
+# ---------------------------------------------------------------------------
+# H by elimination modulo a maximal minor, against the exact column
+# elimination, and in bounded time where that elimination grows
+
+
+@st.composite
+def _hermite_cases(draw):
+    """k x n matrices, k <= n <= 8, of every rank 0..k, entries of about 3
+    or 130 bits. The rows outside an independent set are small combinations
+    of it (zero rows among them) and sit at the top, in the middle, at the
+    bottom or anywhere; one row may be negated, which flips det at k = n."""
+    k = draw(st.integers(1, 8))
+    n = draw(st.integers(k, 8))
+    rank = draw(st.integers(0, k))
+    bits = draw(st.sampled_from((3, 130)))
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    basis = [[rnd.getrandbits(bits) - (1 << (bits - 1)) for _ in range(n)] for _ in range(rank)]
+    extra = []
+    for _ in range(k - rank):
+        if not rank or draw(st.booleans()):
+            extra.append([0] * n)
+        else:
+            c = [rnd.randint(-3, 3) for _ in range(rank)]
+            extra.append([sum(x * row[j] for x, row in zip(c, basis)) for j in range(n)])
+    place = draw(st.sampled_from(("top", "middle", "bottom", "shuffled")))
+    if place == "top":
+        rows = extra + basis
+    elif place == "bottom":
+        rows = basis + extra
+    elif place == "middle":
+        rows = basis[: rank // 2] + extra + basis[rank // 2 :]
+    else:
+        rows = basis + extra
+        rnd.shuffle(rows)
+    if draw(st.booleans()):
+        rows[0] = [-e for e in rows[0]]
+    return IntMatrix.from_rows(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_hermite_cases())
+@example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))  # rank 0
+@example(IntMatrix.from_rows([[3, 5, 7], [0, 0, 0]]))  # zero bottom row
+@example(IntMatrix.from_rows([[2, 4, 6], [1, 2, 3]]))  # dependent top row
+@example(IntMatrix.from_rows([[0, 1], [1, 0]]))  # k = n, det -1
+@example(IntMatrix.from_rows([[2, 1], [0, 3]]))  # k = n, det 6
+@example(IntMatrix.from_rows([[4, 6, 9]]))  # no entry is a unit modulo 4
+def test_hermite_matches_the_column_elimination(a):
+    h, piv, det = normal_forms._hermite(a)
+    oracle = a.to_rows()
+    det_v = normal_forms._column_reduce(oracle)
+    assert h == oracle
+    if len(piv) == a.cols:
+        assert det == det_v
+
+
+def _timed(f):
+    start = time.perf_counter()
+    out = f()
+    return out, time.perf_counter() - start
+
+
+def test_hnf_of_a_random_16x32_with_130_bit_entries_is_fast():
+    r = random.Random(16)
+    a = IntMatrix.from_rows([[r.getrandbits(131) - 2**130 for _ in range(32)] for _ in range(16)])
+    res, seconds = _timed(lambda: hnf(a))
+    assert res.H @ res.U == a
+    assert seconds < 2.0
+
+
+def test_hnf_of_the_10x25_vandermonde_matrix_is_fast():
+    a = IntMatrix.from_rows([[(j + 1) ** i for j in range(25)] for i in range(10)])
+    res, seconds = _timed(lambda: hnf(a))
+    assert res.H @ res.U == a
+    _assert_hermite_shape(res.H)
+    assert seconds < 1.0
+
+
+def test_snf_of_a_random_20x40_with_130_bit_entries_is_fast():
+    r = random.Random(20)
+    a = IntMatrix.from_rows([[r.getrandbits(131) - 2**130 for _ in range(40)] for _ in range(20)])
+    res, seconds = _timed(lambda: snf(a))
+    assert res.L @ a @ res.R == res.S
+    assert seconds < 5.0
+
+
+def test_snf_of_a_unimodular_20x20_with_130_bit_entries_is_fast():
+    r = random.Random(21)
+    n, mag = 20, 2**64
+    low = [[1 if i == j else r.randint(-mag, mag) if j < i else 0 for j in range(n)] for i in range(n)]
+    up = [[1 if i == j else r.randint(-mag, mag) if j > i else 0 for j in range(n)] for i in range(n)]
+    a = IntMatrix.from_rows(low) @ IntMatrix.from_rows(up)
+    res, seconds = _timed(lambda: snf(a))
+    assert res.S == IntMatrix.identity(n)
+    assert res.L @ a @ res.R == res.S
+    assert seconds < 2.0
