@@ -493,6 +493,37 @@ def test_h_and_s_are_pinned():
     assert digest.hexdigest() == _PINNED_HS
 
 
+def _transform_sample():
+    """_pinned_sample, then seeded 5x12 and 6x14 inputs with 130-bit
+    entries of rank k - 1 and k, two unimodular ones of each shape, and
+    square unimodular ones from 5x5 to 7x7: the completions and inverses
+    above the closed forms."""
+    yield from _pinned_sample()
+    for k, n in ((5, 12), (6, 14)):
+        r = random.Random(f"pin/{k}x{n}")
+        for rank in (k - 1, k):
+            yield _ranked(r, k, n, rank, 130)
+        for _ in range(2):
+            yield _unimodular_rows(r, k, n)
+    for n in (5, 6, 7):
+        yield _unimodular_rows(random.Random(f"pin/{n}x{n}"), n, n)
+
+
+# sha256 over the U, L, R and completion of _transform_sample. They are not
+# canonical, so this pins the construction: any change to how the
+# completion solves its systems must leave them byte-identical
+_PINNED_TRANSFORMS = "1027a82a0b74fc95ee7547b813c3582c3d8f0938b7c8d50e334c56376d2ec823"
+
+
+def test_transforms_are_pinned():
+    digest = hashlib.sha256()
+    for a in _transform_sample():
+        s = snf(a)
+        m = complete_to_gl(a).entries if is_unimodular(a) else None
+        digest.update(repr((hnf(a).U.entries, s.L.entries, s.R.entries, m)).encode())
+    assert digest.hexdigest() == _PINNED_TRANSFORMS
+
+
 # A 6 x 14 input of the benchmark's analyze corpus (seed 1), the last rows
 # of a unit-triangular product: with U and R built through the whole
 # elimination, U reached 15,933 bits and L, R 34,378
@@ -506,16 +537,16 @@ _BENCHMARK_6X14 = """6 14
 """
 
 
-def _unimodular_6x14(r):
-    """The last 6 rows of a unit lower times a unit upper triangular 14 x 14
+def _unimodular_rows(r, k, n):
+    """The last k rows of a unit lower times a unit upper triangular n x n
     matrix, entries below and above the diagonal in [-2^64, 2^64], rows
     shuffled: about 130 bits."""
-    n, mag = 14, 2**64
+    mag = 2**64
     low = [[1 if i == j else r.randint(-mag, mag) if j < i else 0 for j in range(n)] for i in range(n)]
     up = [[1 if i == j else r.randint(-mag, mag) if j > i else 0 for j in range(n)] for i in range(n)]
     m = (IntMatrix.from_rows(low) @ IntMatrix.from_rows(up)).to_rows()
     r.shuffle(m)
-    return IntMatrix.from_rows(m[n - 6 :])
+    return IntMatrix.from_rows(m[n - k :])
 
 
 def _bits(m):
@@ -524,7 +555,7 @@ def _bits(m):
 
 def test_transforms_stay_near_the_input_size():
     r = random.Random(14)
-    mats = [parse_matrix(_BENCHMARK_6X14)] + [_unimodular_6x14(r) for _ in range(8)]
+    mats = [parse_matrix(_BENCHMARK_6X14)] + [_unimodular_rows(r, 6, 14) for _ in range(8)]
     for a in mats:
         res, s = _assert_transforms(a)
         assert _bits(complete_to_gl(a)) <= _bits(a) + 8
