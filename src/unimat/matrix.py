@@ -149,47 +149,67 @@ def _det_at(flat: Sequence[int], sub: Sequence[int]) -> int:
     flat[i] for i in sub.
 
     Up to 4x4 it is the closed form of _laplace, compiled once per t by
-    _minors_kernel(t, t); above that it is _bareiss.
+    _minors_kernel(t, t); above that it is read off the _bareiss echelon.
     """
     ents = [flat[i] for i in sub]
     t = math.isqrt(len(ents))
     if t <= _CLOSED_MAX:
         return _minors_kernel(t, t)(ents)[0]
-    return _bareiss([ents[r * t : (r + 1) * t] for r in range(t)])
+    m = [ents[r * t : (r + 1) * t] for r in range(t)]
+    return _pivot_minor(m, _bareiss(m))
 
 
-def _bareiss(rows: Sequence[Sequence[int]]) -> int:
-    """The minor of the k x n matrix `rows` (k <= n) on the columns where
-    its rows pivot, signed for those columns in increasing order: the
-    determinant when k = n, and 0 when the rank is below k.
+def _bareiss(m: list[list[int]], width: int | None = None) -> list[int | None]:
+    """Reduce the rows m in place to a fraction-free (Bareiss, Math. Comp.
+    22, 1968) row echelon form, and return each row's pivot column, or None
+    for a row in the span of the pivot rows above it.
 
-    Fraction-free (Bareiss, Math. Comp. 22, 1968) elimination in which each
-    row pivots on its first nonzero column that no row above pivoted on.
-    After step i every updated entry is an (i+1) x (i+1) minor, so the
-    division by the previous pivot is exact and sizes stay within those of
-    the minors. A pivoted column is zero below its pivot and stays zero, so
-    only the unpivoted columns are updated; a row with none of them nonzero
-    lies in the span of the rows above it.
+    A row pivots on its first nonzero column among the first `width` (all
+    by default) that no row above pivoted on. Each row below it then
+    becomes (pivot * row - f * pivot row) / previous pivot, f its entry in
+    the pivot column, where it becomes 0; the columns pivoted earlier are
+    0 in both rows and are left alone. After that step each entry of a row
+    below is a minor of the pivot rows so far and that row, so the
+    divisions are exact and sizes stay within those of the minors. A row
+    that does not pivot is skipped, and the rows below go on as if it were
+    not there. So a pivot row is 0 at the pivot columns above it, and
+    elsewhere holds its minors on those columns plus one column each: the
+    last pivot is a maximal minor (_pivot_minor), and back-substitution
+    from the bottom row solves the rows' linear systems by exact division.
     """
-    m = [list(r) for r in rows]
     free = list(range(len(m[0])))
-    prev, inversions = 1, 0
+    w = len(free) if width is None else width
+    cols: list[int | None] = []
+    prev = 1
     for i, row in enumerate(m):
         for idx, c in enumerate(free):
             if row[c]:
                 break
         else:
-            return 0
+            c = w
+        if c >= w:
+            cols.append(None)
+            continue
         del free[idx]
-        # of the i pivots above, c - idx lie left of c and the rest right of it
-        inversions += i - c + idx
+        cols.append(c)
         pivot = row[c]
         for mr in m[i + 1 :]:
-            f = mr[c]
+            f, mr[c] = mr[c], 0
             for j in free:
                 mr[j] = (mr[j] * pivot - f * row[j]) // prev
         prev = pivot
-    return -prev if inversions & 1 else prev
+    return cols
+
+
+def _pivot_minor(m: list[list[int]], cols: list[int | None]) -> int:
+    """The minor of the rows that _bareiss reduced to m, on their pivot
+    columns cols and signed for those columns in increasing order: the
+    last pivot, times -1 for each pair of pivots out of order. It is the
+    determinant when m is square, and 0 when a row has no pivot."""
+    if None in cols:
+        return 0
+    inversions = sum(b > c for i, c in enumerate(cols) for b in cols[:i])
+    return -m[-1][cols[-1]] if inversions & 1 else m[-1][cols[-1]]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -349,7 +369,8 @@ def _minor_gcd_finish(flat: Sequence[int], k: int, n: int, g: int) -> int:
     operations, whatever C(n, k) is."""
     rows = [flat[t * n : (t + 1) * n] for t in range(k)]
     if g == 0:
-        g = abs(_bareiss(rows))
+        m = [list(row) for row in rows]
+        g = abs(_pivot_minor(m, _bareiss(m)))
         if g == 0:
             return 0
     return _minor_gcd_mod(rows, g)

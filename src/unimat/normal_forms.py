@@ -17,14 +17,17 @@ The Smith form has both row and column operations available and yields
 L @ A @ R = S with S = [O | diag(d_1..d_r)] placed in the bottom-right
 corner (zero rows on top), d_i > 0 and d_1 | d_2 | ... | d_r.
 
-H comes from elimination modulo a nonzero maximal minor d (_sweep), which
-carries no transform and writes no entry above d. The transforms all come from
-one completion M in GL_n(Z) whose last r rows are the r rows B with
-A = H_r @ B, H_r the pivot columns of H (so B = A when A is unimodular):
-U = M, the completion of a unimodular A is M, and S = L @ A @ R with
-R = M^-1 @ diag(I, R_r), where L and R_r reduce the k x r block H_r alone.
-M is built on a window of r + 1 columns (_complete), which keeps its
-entries at about the size of B's.
+Every exact solve here reads one forward fraction-free echelon,
+matrix._bareiss. H comes from elimination modulo d (_sweep), the gcd of the
+maximal minors on the last echelon row of A, which carries no transform and
+writes no entry above d. The transforms all come from one completion M in
+GL_n(Z) whose last r rows are the r rows B with A = H_r @ B, H_r the pivot
+columns of H (so B = A when A is unimodular): U = M, the completion of a
+unimodular A is M, and S = L @ A @ R with R = M^-1 @ diag(I, R_r), where L
+and R_r reduce the k x r block H_r alone. M is built on a window of r + 1
+columns (_complete), which keeps its entries at about the size of B's; its
+cofactors above the closed forms and M^-1 come from back-substitution on
+the echelon (_solve).
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .matrix import (
     _bareiss,
     _minor_gcd_mod,
     _minors_kernel,
+    _pivot_minor,
     _xgcd,
     full_rank_minor_gcd,
 )
@@ -161,7 +165,7 @@ def _column_reduce(h: list[list[int]], v: list[list[int]] | None = None) -> int:
 
 def _sweep(rows: list[list[int]], d: int) -> list[list[int]]:
     """The last r columns of the column Hermite form of r x n rows of rank
-    r, by elimination modulo d, the absolute value of a nonzero r x r minor
+    r, by elimination modulo d > 0, a gcd of some of their r x r minors
     (Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
     Algorithm 2.4.8). Row l of the result is l zeros, its pivot, then its
     entries in the pivot columns of the rows below.
@@ -253,36 +257,21 @@ def _sweep(rows: list[list[int]], d: int) -> list[list[int]]:
     return out
 
 
-def _dependencies(rows: list[list[int]]) -> tuple[list[int], int, dict[int, list[int]]]:
-    """(pivot rows top-down, d, relations) for rows of rank below their
-    number: row i pivots when it is not in the span of the rows below it,
-    d is a nonzero maximal minor of the pivot rows, and each other row i
-    has a vector c with c @ A = 0, c_i != 0 and c_l = 0 off the pivot rows.
+def _dependencies(rows: list[list[int]]) -> tuple[list[int], list[int], dict[int, list[int]]]:
+    """(pivot rows top-down, last pivot row, relations) for rows of rank
+    below their number: row i pivots when it is not in the span of the rows
+    below it, and each other row i has a vector c with c @ A = 0, c_i != 0
+    and c_l = 0 off the pivot rows.
 
-    Fraction-free elimination (Bareiss) of [reversed rows | I], one row at
-    a time: each row takes the steps of the pivot rows before it, which
-    keeps the divisions exact, and a row left zero on the columns of A is
-    a relation, read off its identity part."""
+    One _bareiss echelon of [reversed rows | I], pivoting on the columns of
+    A: a row that does not pivot is 0 there, a relation read off its
+    identity part. The last pivot row is the echelon's, on A's columns."""
     k, n = len(rows), len(rows[0])
-    done: list[tuple[int, list[int]]] = []
-    piv: list[int] = []
-    rel: dict[int, list[int]] = {}
-    for i in range(k - 1, -1, -1):
-        x = rows[i] + [0] * k
-        x[n + i] = 1
-        prev = 1
-        for c, p in done:
-            f, pv = x[c], p[c]
-            x = [(pv * a - f * b) // prev for a, b in zip(x, p)]
-            prev = pv
-        c = next((c for c in range(n) if x[c]), None)
-        if c is None:
-            rel[i] = x[n:]
-        else:
-            done.append((c, x))
-            piv.append(i)
-    piv.reverse()
-    return piv, done[-1][1][done[-1][0]] if done else 0, rel
+    m = [rows[i] + [int(j == i) for j in range(k)] for i in range(k - 1, -1, -1)]
+    cols = _bareiss(m, n)
+    done = [p for p, c in enumerate(cols) if c is not None]
+    rel = {k - 1 - p: m[p][n:] for p, c in enumerate(cols) if c is None}
+    return [k - 1 - p for p in reversed(done)], m[done[-1]][:n] if done else [], rel
 
 
 def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
@@ -290,8 +279,13 @@ def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     rank n (the sign of det A) and 1 below it. The pivot of the l-th pivot
     row is in column n - r + l.
 
-    H comes from _sweep on the pivot rows, modulo the minor _bareiss
-    returns, so no entry exceeds it. That is one minor, not the minor gcd,
+    H comes from _sweep on the pivot rows, modulo the gcd of the last
+    _bareiss echelon row. Its entries on the columns that no row above
+    pivoted on are the n - r + 1 maximal minors of the pivot rows on the
+    pivot columns above plus one column each, and each is a multiple of
+    the index of their column lattice. So no entry of H exceeds the
+    modulus, a unimodular input often gets modulus 1 and H = [O | I] at
+    once, and at r = n the modulus is |det A|. These are some of the minors, not all,
     so H = [O | I] stays a test of unimodularity independent of
     full_rank_minor_gcd. Below rank k, each other row is a rational
     combination of the pivot rows below it (_dependencies), and column
@@ -299,16 +293,17 @@ def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     combination of their rows of H, by exact division."""
     rows = a.to_rows()
     n = a.cols
-    d = _bareiss(rows)
-    if d:
-        piv, rel, top = list(range(a.rows)), {}, rows
+    m = [list(row) for row in rows]
+    cols = _bareiss(m)
+    if None not in cols:
+        piv, rel, top, last = list(range(a.rows)), {}, rows, m[-1]
     else:
-        piv, d, rel = _dependencies(rows)
+        piv, last, rel = _dependencies(rows)
         top = [rows[i] for i in piv]
     r = len(piv)
     if r == 0:
         return rows, [], 1
-    t = _sweep(top, abs(d))
+    t = _sweep(top, math.gcd(*last))
     h = [[]] * a.rows
     for i, tr in zip(piv, t):
         h[i] = [0] * (n - r) + tr
@@ -318,7 +313,7 @@ def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
             if c[p]:
                 comb = [x + c[p] * y for x, y in zip(comb, tp)]
         h[i] = [0] * (n - r) + [-(e // c[i]) for e in comb]
-    return h, piv, (1 if d > 0 else -1) if r == n else 1
+    return h, piv, (1 if _pivot_minor(m, cols) > 0 else -1) if r == n else 1
 
 
 def _pivot_basis(a: list[list[int]], h: list[list[int]], piv: list[int]) -> list[list[int]]:
@@ -342,35 +337,25 @@ def _pivot_basis(a: list[list[int]], h: list[list[int]], piv: list[int]) -> list
     return b
 
 
-def _eliminate(rows: list[list[int]]) -> tuple[list[int], int, list[list[int]]] | None:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of t x w rows of
-    rank t, or None below rank t: (cols, d, m).
+def _solve(m: list[list[int]], cols: list[int], rhs: list[list[int]]) -> dict[int, list[int]]:
+    """x with sum_c m[i][c] x[c] = rhs[i] over the pivot columns c, for the
+    rows m of a _bareiss echelon whose rows all pivot (on columns cols) and
+    whose system has an integer solution; x[c] and rhs[i] are vectors, one
+    entry per right-hand side.
 
-    Row i pivots on its first nonzero column not yet pivoted, as in
-    _bareiss, and that column is cleared from every other row. After each
-    step every entry is a minor of the rows, so the divisions by the
-    previous pivot are exact. At the end row i of m holds the last pivot d
-    at column cols[i] and 0 at the other pivot columns; d is the minor on
-    the pivot columns, in the order cols lists them. Each step is one pass
-    over every other row: the pivot columns already cleared stay cleared,
-    and the earlier pivots become the new one."""
-    m = list(rows)
-    free = list(range(len(m[0])))
-    cols: list[int] = []
-    prev = 1
-    for i, row in enumerate(m):
-        c = next((c for c in free if row[c]), None)
-        if c is None:
-            return None
-        free.remove(c)
-        piv = row[c]
-        for l, ml in enumerate(m):
-            if l != i:
-                f = ml[c]
-                m[l] = [(piv * x - f * y) // prev for x, y in zip(ml, row)]
-        cols.append(c)
-        prev = piv
-    return cols, prev, m
+    Fraction-free back-substitution from the bottom row: row i is 0 at the
+    pivot columns above it, so once x is known on the pivot columns below,
+    x[cols[i]] follows by one exact division by the pivot."""
+    x: dict[int, list[int]] = {}
+    for i in range(len(cols) - 1, -1, -1):
+        row, acc = m[i], rhs[i]
+        for c in cols[i + 1 :]:
+            f = row[c]
+            if f:
+                acc = [e - f * y for e, y in zip(acc, x[c])]
+        p = row[cols[i]]
+        x[cols[i]] = [e // p for e in acc]
+    return x
 
 
 def _cofactors(bt: list[list[int]]) -> list[int]:
@@ -378,28 +363,23 @@ def _cofactors(bt: list[list[int]]) -> list[int]:
     c_j = (-1)^j times the minor of bt without column j, all 0 below rank r.
 
     Up to r = 4 these are closed forms (_minors_kernel lists the minor
-    without column j at r - j). Above, _eliminate leaves row i with d at
-    its pivot column and w_i at the one column f left free, so (-w_i at
-    the pivot columns, d at f) spans bt's kernel, as c does. d is the minor
-    without column f, signed for the pivot order, which fixes the factor
-    of +-1 between the two.
+    without column j at r - j). Above, c spans the kernel of bt. On its
+    _bareiss echelon one column f stays free, and c_f = (-1)^f times the
+    minor on the pivot columns (_pivot_minor); the rest follows by
+    back-substitution (_solve), with right-hand sides -c_f times column f.
     """
     r = len(bt)
     if r <= _CLOSED_MAX:
         m = _minors_kernel(r, r + 1)(list(chain.from_iterable(bt)))
         return [-m[r - j] if j & 1 else m[r - j] for j in range(r + 1)]
-    done = _eliminate(bt)
-    if done is None:
+    m = [list(row) for row in bt]
+    cols = _bareiss(m)
+    if None in cols:
         return [0] * (r + 1)
-    cols, d, m = done
     (f,) = set(range(r + 1)).difference(cols)
-    inversions = sum(1 for a in range(r) for b in range(a) if cols[b] > cols[a])
-    sign = -1 if (inversions + f) & 1 else 1
-    c = [0] * (r + 1)
-    c[f] = sign * d
-    for row, p in zip(m, cols):
-        c[p] = -sign * row[f]
-    return c
+    cf = (-1) ** f * _pivot_minor(m, cols)
+    x = _solve(m, cols, [[-cf * row[f]] for row in m])
+    return [cf if j == f else x[j][0] for j in range(r + 1)]
 
 
 def _dot(x: list[int], y: list[int]) -> int:
@@ -513,15 +493,13 @@ def _window(
 
 
 def _inverse(m: list[list[int]]) -> list[list[int]]:
-    """M^-1 for a square M with det +-1, by one fraction-free Gauss-Jordan
-    elimination of [M | I]: it leaves row i as d e_c on M's side, c =
-    cols[i], and d times row c of M^-1 on the other, d the last pivot."""
+    """M^-1 for a square M with det +-1. The _bareiss echelon of [M | I]
+    is [E | F] with E = F @ M, so E @ M^-1 = F, and back-substitution
+    (_solve) gives the rows of M^-1 with F's rows as right-hand sides."""
     n = len(m)
-    cols, d, rows = _eliminate([row + e for row, e in zip(m, _identity_rows(n))])
-    inv = [[]] * n
-    for c, row in zip(cols, rows):
-        inv[c] = [e // d for e in row[n:]]
-    return inv
+    e = [row + unit for row, unit in zip(m, _identity_rows(n))]
+    x = _solve(e, _bareiss(e), [row[n:] for row in e])
+    return [x[c] for c in range(n)]
 
 
 def _complete(b: list[list[int]], n: int, inverse: bool) -> list[list[int]]:
@@ -535,7 +513,7 @@ def _complete(b: list[list[int]], n: int, inverse: bool) -> list[list[int]]:
     T, t in T with t < s), and M^-1 = [[I, 0], [-G C_S, G]] with G = C_T^-1
     = det(C_T) adj(C_T). Up to r = 4, column i of adj(C_T) is (-1)^i times
     the closed-form _cofactors of C_T without row i (column 0 is b_T's own
-    c); above, one _eliminate of [C_T | C_S | I] gives G [C_S | I]. With a
+    c); above, G is _inverse(C_T). G C_S is then formed by products. With a
     Z from _window, W = [[I, Z], [0, I]] (columns outside T first) gives M'
     for b @ W and M = M' @ W^-1: the unit rows gain -Z on T, and M^-1 =
     W @ M'^-1 adds Z times the rows of T to the rows of the other columns.
@@ -570,18 +548,15 @@ def _complete(b: list[list[int]], n: int, inverse: bool) -> list[list[int]]:
         for j, e in zip(t, x):
             xs[j] = e
         return m + [xs] + b
-    # sol[p] is row p of G [C_S | I]
     ct, bs = [x, *bt], [[row[j] for j in out] for row in b]
     if r <= _CLOSED_MAX:
         adj = [c] + [_cofactors(ct[:i] + ct[i + 1 :]) for i in range(1, r + 1)]
         gt = [col if (i & 1) == (det < 0) else [-e for e in col] for i, col in enumerate(adj)]
-        sol = [[_dot(g[1:], col) for col in zip(*bs)] + list(g) for g in zip(*gt)]
+        g = list(zip(*gt))
     else:
-        eye = _identity_rows(r + 1)
-        cols, d, m = _eliminate([p + q + e for p, q, e in zip(ct, [[0] * len(out), *bs], eye)])
-        sol = [[]] * (r + 1)
-        for p, row in zip(cols, m):
-            sol[p] = [e // d for e in row[r + 1 :]]
+        g = _inverse(ct)
+    # sol[p] is row p of G [C_S | I]; C_S is 0 in x's row
+    sol = [[_dot(gp[1:], col) for col in zip(*bs)] + list(gp) for gp in g]
     inv = [[0] * n for _ in range(n)]
     for a, s in enumerate(out):
         inv[s][a] = 1

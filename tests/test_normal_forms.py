@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from unimat import normal_forms
-from unimat.matrix import IntMatrix, full_rank_minor_gcd, is_unimodular, minors
+from unimat.matrix import IntMatrix, _det_at, full_rank_minor_gcd, is_unimodular, minors
 from unimat.matrixfile import parse_matrix
 from unimat.normal_forms import (
     NotUnimodularError,
@@ -537,11 +537,10 @@ _BENCHMARK_6X14 = """6 14
 """
 
 
-def _unimodular_rows(r, k, n):
+def _unimodular_rows(r, k, n, mag=2**64):
     """The last k rows of a unit lower times a unit upper triangular n x n
-    matrix, entries below and above the diagonal in [-2^64, 2^64], rows
-    shuffled: about 130 bits."""
-    mag = 2**64
+    matrix, entries below and above the diagonal in [-mag, mag], rows
+    shuffled: about 130 bits at the default mag."""
     low = [[1 if i == j else r.randint(-mag, mag) if j < i else 0 for j in range(n)] for i in range(n)]
     up = [[1 if i == j else r.randint(-mag, mag) if j > i else 0 for j in range(n)] for i in range(n)]
     m = (IntMatrix.from_rows(low) @ IntMatrix.from_rows(up)).to_rows()
@@ -659,3 +658,118 @@ def test_snf_of_a_unimodular_20x20_with_130_bit_entries_is_fast():
     assert res.S == IntMatrix.identity(n)
     assert res.L @ a @ res.R == res.S
     assert seconds < 2.0
+
+
+# ---------------------------------------------------------------------------
+# solves on the _bareiss echelon, against oracles that do not back-substitute
+
+
+def _deleted_column_minors(bt):
+    """(-1)^j times the minor of bt without column j, each by _det_at."""
+    r, w = len(bt), len(bt[0])
+    flat = [e for row in bt for e in row]
+    return [
+        (-1) ** j * _det_at(flat, [i * w + c for i in range(r) for c in range(w) if c != j])
+        for j in range(w)
+    ]
+
+
+@pytest.mark.parametrize("r", [5, 6, 7])
+@pytest.mark.parametrize("bits", [3, 130])
+def test_cofactors_above_the_closed_forms_are_the_signed_minors(r, bits):
+    rnd = random.Random(f"cofactors/{r}/{bits}")
+    for rank in (r, r, r - 1, r - 2, 0):
+        for _ in range(4):
+            bt = _ranked(rnd, r, r + 1, rank, bits).to_rows()
+            c = normal_forms._cofactors(bt)
+            assert c == _deleted_column_minors(bt)
+            if rank < r:
+                assert c == [0] * (r + 1)
+
+
+@st.composite
+def _unimodular_squares(draw):
+    n = draw(st.integers(1, 8))
+    mag = draw(st.sampled_from((2, 2**64)))
+    return _unimodular_rows(random.Random(draw(st.integers(0, 2**32))), n, n, mag).to_rows()
+
+
+def _assert_inverse(m):
+    inv = normal_forms._inverse(m)
+    assert IntMatrix.from_rows(m) @ IntMatrix.from_rows(inv) == IntMatrix.identity(len(m))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_unimodular_squares())
+@example([[-1]])
+@example([[0, 1], [1, 0]])  # row 0 pivots right of row 1
+@example([[0, 0, 1], [1, 0, 0], [0, -1, 0]])
+def test_inverse_of_a_unimodular_square(m):
+    _assert_inverse(m)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inverse_of_seeded_unimodular_squares(n):
+    rnd = random.Random(f"inverse/{n}")
+    for mag in (2, 2**64):
+        for _ in range(5):
+            _assert_inverse(_unimodular_rows(rnd, n, n, mag).to_rows())
+
+
+def _sweep_moduli(monkeypatch):
+    """The moduli _hermite passes to _sweep, in call order."""
+    seen = []
+    sweep = normal_forms._sweep
+
+    def spy(rows, d):
+        seen.append(d)
+        return sweep(rows, d)
+
+    monkeypatch.setattr(normal_forms, "_sweep", spy)
+    return seen
+
+
+def _assert_h_and_triviality(a):
+    h, _, _ = normal_forms._hermite(a)
+    oracle = a.to_rows()
+    normal_forms._column_reduce(oracle)
+    assert h == oracle
+    assert is_trivial_hnf(a) == (full_rank_minor_gcd(a) == 1)
+
+
+def test_sweep_modulus_above_the_minor_gcd(monkeypatch):
+    # the modulus is the gcd of the last echelon row's n - k + 1 minors: a
+    # multiple of the minor gcd D, and on these inputs strictly above it
+    seen = _sweep_moduli(monkeypatch)
+    rnd = random.Random(16)
+    for k, n in ((2, 3), (3, 5)):
+        found = {"uni": 0, "non": 0}
+        while min(found.values()) < 10:
+            a = _rand_matrix(rnd, k, n, 4)
+            g = full_rank_minor_gcd(a)
+            if g == 0:
+                continue
+            seen.clear()
+            normal_forms._hermite(a)
+            (mod,) = seen
+            assert mod % g == 0
+            if mod > g:
+                found["uni" if g == 1 else "non"] += 1
+                _assert_h_and_triviality(a)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 6])
+def test_sweep_modulus_of_a_square_is_its_determinant(monkeypatch, n):
+    seen = _sweep_moduli(monkeypatch)
+    rnd = random.Random(f"square/{n}")
+    for bound in (2, 4, 40):
+        for _ in range(12):
+            a = _rand_matrix(rnd, n, n, bound)
+            det = a.det()
+            if det == 0:
+                continue
+            seen.clear()
+            res = hnf(a)
+            assert seen == [abs(det)]
+            assert res.detU == (1 if det > 0 else -1)
+            _assert_h_and_triviality(a)
