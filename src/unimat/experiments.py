@@ -8,7 +8,10 @@ A row box (k = 1) is counted by Moebius inversion over the gcd of the
 row, with no enumeration. The censuses of k >= 2 boxes and of matrices
 mod p enumerate the first rows of a matrix (the prefix), key the prefix
 by an exact invariant that decides how many last rows complete it, and
-count those last rows once per key. Every count is exact.
+count those last rows once per key. A box prefix is enumerated as a
+weighted multiset of columns, and its last rows are counted by folding
+the gcd over value lists of the whole last-row box; a mod-p prefix is
+extended once per wider span. Every count is exact.
 
 Sampling is counter-addressed: entry e of sample i is draw number
 i*k*n + e on [0, 2B) of the stream (see rng), shifted onto [-B, B). Up to
@@ -23,11 +26,12 @@ from __future__ import annotations
 
 import math
 from array import array
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress, filterfalse, product
-from operator import countOf, mul
+from itertools import combinations, combinations_with_replacement, compress, filterfalse, product
+from operator import countOf
 
 from . import rng
 from .density import PrimeSet, count_full_rank_mod_p, density_exact, is_prime, local_density
@@ -296,71 +300,96 @@ def _laplace_plan(k: int, n: int) -> tuple[tuple, ...]:
 def _box_hits(k: int, n: int, b: int) -> int:
     """Unimodular k x n matrices in [-b, b)^(kn), 2 <= k <= n.
 
-    Enumerates the prefixes P of k - 1 rows. By Laplace expansion along the
-    last row r, every k-minor of [P; r] is a linear form in r whose
-    coefficients are +-c_S, the (k-1)-minors of P (see _laplace_plan). So
-    the number of good last rows depends on P only through its Pluecker
-    vector c, and is counted once per c:
-      - it is 0 unless gcd(c) = 1, since gcd(c) divides every k-minor;
-      - for k < n, P's columns are sorted first: permuting the columns of
-        [P; r] jointly maps the box to itself and keeps the minor gcd;
-      - for k = n, det [P; r] = a . r for the cofactor vector a, and one
-        coordinate of r with a_j != 0 is solved for instead of searched.
+    Enumerates the prefixes P of k - 1 rows as sorted multisets of columns:
+    permuting the columns of [P; r] jointly maps the box to itself and
+    keeps the minor gcd, so a multiset with column multiplicities m_i
+    stands for its n! / prod(m_i!) arrangements. Negating P changes only
+    the signs of its (k-1)-minors and reverses its sorted columns, so a
+    multiset and its negation, reversed, share one key (even when the
+    negation leaves the box, since only the minors are read).
+
+    By Laplace expansion along the last row r, every k-minor of [P; r] is a
+    linear form a . r whose coefficients are +-c_S, the (k-1)-minors of P
+    (see _laplace_plan). So the number of good last rows depends on P only
+    through its Pluecker vector c; the weights are summed per c. It is 0
+    unless gcd(c) = 1, since gcd(c) divides every k-minor. The last rows
+    are counted once per set of nonzero forms, each taken up to sign,
+    since only |a . r| enters the gcd. When some c_S is +-1, only the
+    n - k + 1 forms on the column sets T that contain S are taken: they
+    generate every form over Z, since over Z, P is row-equivalent to a
+    prefix that is the identity on S, and every integer form that vanishes
+    on its rows is an integer combination of the minors on S + {j}, which
+    are r_j minus a form in the coordinates of S.
+
+    For k < n the forms' gcd is folded over the whole last-row box
+    (_gcd_hits). For k = n the one form is the cofactor vector a, with
+    det [P; r] = a . r, and one coordinate of r is solved for (_det_hits);
+    a is also sorted, since the box is symmetric under permuting the
+    coordinates of r. Negating a single coordinate is not exact, because
+    [-b, b) is not symmetric.
     """
-    forms = _laplace_plan(k, n)
+    plan = _laplace_plan(k, n)
+    through = [[t for t in plan if any(i == s for *_, i in t)] for s in range(math.comb(n, k - 1))]
     plucker = _minors_kernel(k - 1, n)
     gcd = math.gcd
-    box = range(-b, b)
-    by_plucker: dict[tuple[int, ...], int] = {}
-    hits = 0
-    for prefix in product(box, repeat=(k - 1) * n):
-        if k < n:
-            cols = sorted(zip(*[prefix[t * n : (t + 1) * n] for t in range(k - 1)]))
-            prefix = tuple(e for row in zip(*cols) for e in row)
-        c = plucker(prefix)
-        if gcd(*c) != 1:
-            continue
-        good = by_plucker.get(c)
-        if good is None:
-            coefs = []
-            for form in forms:
-                a = [0] * n
-                for j, s, i in form:
-                    a[j] = s * c[i]
-                coefs.append(a)
-            good = by_plucker[c] = _det_hits(coefs[0], b) if k == n else _gcd_hits(coefs, b)
-        hits += good
-    return hits
+    fact = [math.factorial(m) for m in range(n + 1)]
+    columns = list(product(range(-b, b), repeat=k - 1))
+    negated = {col: tuple(-x for x in col) for col in columns}
+    weights: Counter = Counter()
+    for cols in combinations_with_replacement(columns, n):
+        cols = min(cols, tuple(map(negated.__getitem__, reversed(cols))))
+        c = plucker(sum(zip(*cols), ()))
+        if gcd(*c) == 1:
+            w = fact[n]
+            for col in set(cols):
+                w //= fact[cols.count(col)]
+            weights[c] += w
+    by_forms: Counter = Counter()
+    for c, w in weights.items():
+        unit = next((i for i, x in enumerate(c) if x in (1, -1)), None)
+        forms = set()
+        for terms in plan if unit is None else through[unit]:
+            a = [0] * n
+            for j, s, i in terms:
+                a[j] = s * c[i]
+            neg = [-x for x in a]
+            if k == n:
+                a.sort()
+                neg.sort()
+            forms.add(max(tuple(a), tuple(neg)))
+        forms.discard((0,) * n)
+        by_forms[frozenset(forms)] += w
+    return sum(w * (_det_hits(*f, b) if k == n else _gcd_hits(f, b)) for f, w in by_forms.items())
 
 
-def _gcd_hits(coefs: list[list[int]], b: int) -> int:
-    """Rows r in [-b, b)^n with gcd over a in coefs of a . r equal to 1."""
-    gcd = math.gcd
-    hits = 0
-    for r in product(range(-b, b), repeat=len(coefs[0])):
-        g = 0
-        for a in coefs:
-            g = gcd(g, sum(map(mul, a, r)))
-            if g == 1:
-                hits += 1
-                break
-    return hits
+def _form_values(a: tuple[int, ...], b: int) -> list[int]:
+    """a . r for every r in [-b, b)^n, in product order, built one
+    coordinate at a time by list comprehensions."""
+    vals = [0]
+    for aj in a:
+        steps = [aj * x for x in range(-b, b)]
+        vals = [v + s for v in vals for s in steps]
+    return vals
 
 
-def _det_hits(a: list[int], b: int) -> int:
+def _gcd_hits(forms: frozenset, b: int) -> int:
+    """Rows r in [-b, b)^n with gcd over the (at least two) forms a of
+    a . r equal to 1: the value lists of the forms are folded by gcd over
+    the whole box at once, keeping two lists of (2b)^n values alive."""
+    first, *rest = forms
+    g = _form_values(first, b)
+    for a in rest:
+        g = list(map(math.gcd, g, _form_values(a, b)))
+    return countOf(g, 1)
+
+
+def _det_hits(a: tuple[int, ...], b: int) -> int:
     """Rows r in [-b, b)^n with a . r = +-1, for a with some a_j != 0: the
-    other coordinates are enumerated and r_j = (+-1 - rest) / a_j solved."""
+    values s of the other coordinates' form are tallied once, and r_j is
+    solved for, as the x in [-b, b) with s = +-1 - a_j * x."""
     j = max(range(len(a)), key=lambda i: abs(a[i]))
-    aj = a[j]
-    rest = a[:j] + a[j + 1 :]
-    hits = 0
-    for r in product(range(-b, b), repeat=len(rest)):
-        s = sum(map(mul, rest, r))
-        for target in (1, -1):
-            x, off = divmod(target - s, aj)
-            if not off and -b <= x < b:
-                hits += 1
-    return hits
+    tally = Counter(_form_values(a[:j] + a[j + 1 :], b))
+    return sum(tally[t - a[j] * x] for t in (1, -1) for x in range(-b, b))
 
 
 def convergence_sweep(
@@ -432,18 +461,23 @@ def _independent_rows(span: set[tuple[int, ...]], left: int, n: int, p: int) -> 
     F_p-combinations are `span`, keeping the rows independent.
 
     Each of the p^n candidate rows costs one set lookup: it is independent
-    of the prefix iff it lies outside the span. A taken row's span is built
-    by enumerating span + c * row for every c, never from |span| = p^t.
+    of the prefix iff it lies outside the span. A taken row v's wider span
+    W is built by enumerating span + c * v for every c, never from
+    |span| = p^t. Every row of W outside the span gives the same W, so W
+    is built once, its rows are marked done, and its count is multiplied
+    by |W| - |span|, the number of rows that give it.
     """
     rows = product(range(p), repeat=n)
     if left == 1:
         return countOf(map(span.__contains__, rows), False)
     count = 0
-    for v in filterfalse(span.__contains__, rows):
+    done = set(span)
+    for v in filterfalse(done.__contains__, rows):
         multiples = [tuple(c * x % p for x in v) for c in range(1, p)]
         wider = set(span)
         for s in span:
             for m in multiples:
                 wider.add(tuple([(x + y) % p for x, y in zip(s, m)]))
-        count += _independent_rows(wider, left - 1, n, p)
+        done |= wider
+        count += (len(wider) - len(span)) * _independent_rows(wider, left - 1, n, p)
     return count

@@ -115,14 +115,18 @@ def brute_hits(k: int, n: int, b: int) -> int:
 # is off on it. The row boxes after them run every bound of 1x2 up to 12
 # and of 1x3 up to 5, so each small d appears as a divisor of the bound,
 # of the bound - 1 and of neither; n = 1 covers b = 1, where +1 is
-# outside the box.
+# outside the box. The wide boxes at B = 1 come last: with 2^(k-1) column
+# values and n >= 5 columns, most prefixes repeat a column, so a wrong
+# multinomial weight on a column multiset shows there.
 BRUTE_BOXES = [
     (k, n, b)
     for n in range(1, 5)
     for k in range(1, n + 1)
     for b in (1, 2, 3)
     if (2 * b) ** (k * n) <= 2 * 10**5
-] + [(1, 1, 7)] + [(1, 2, b) for b in range(4, 13)] + [(1, 2, 30), (1, 3, 4), (1, 3, 5), (1, 3, 8)]
+] + [(1, 1, 7)] + [(1, 2, b) for b in range(4, 13)] + [(1, 2, 30), (1, 3, 4), (1, 3, 5), (1, 3, 8)] + [
+    (2, 5, 1), (2, 6, 1), (3, 5, 1)
+]
 
 
 @pytest.mark.parametrize("b", [1, 2, 3, 4, 30, 3000])
@@ -139,6 +143,19 @@ def test_exhaustive_density_equals_brute_force(k, n, b):
     rep = exhaustive_density(BoxSpec(k, n, b))
     assert rep.hits == brute_hits(k, n, b)
     assert rep.total == (2 * b) ** (k * n)
+
+
+@pytest.mark.parametrize(
+    "k,n,b,hits", [(3, 3, 2, 39036), (5, 5, 1, 9702720), (2, 4, 3, 1299948), (3, 4, 2, 8657112)]
+)
+def test_exhaustive_pinned_hits_past_brute_boxes(k, n, b, hits):
+    # 3x3 at B = 2 is brute force over its 262,144 matrices, as in the
+    # benchmark's references. The others were counted one prefix at a time,
+    # each prefix against every last row; 5x5 at B = 1 is also twice the
+    # 4,851,360 (0,1)-matrices of determinant 1 (OEIS A046747), since the
+    # box is {-1, 0}. The k < n boxes have 1,296 and 256 last rows, more
+    # than any k < n box the brute force above reaches (216)
+    assert exhaustive_density(BoxSpec(k, n, b)).hits == hits
 
 
 def test_exhaustive_density_is_exact_fraction():
