@@ -39,7 +39,6 @@ from .matrixfile import MatrixFileError, format_matrix, parse_matrix
 from .normal_forms import (
     HnfResult,
     NotUnimodularError,
-    SmithConvergenceError,
     SnfResult,
     complete_to_gl,
     hnf,
@@ -63,7 +62,6 @@ __all__ = [
     "MinorSet",
     "NotUnimodularError",
     "PrimeSet",
-    "SmithConvergenceError",
     "SnfResult",
     "ZetaValue",
     "complete_to_gl",

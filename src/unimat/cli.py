@@ -48,7 +48,6 @@ from .matrix import IntMatrix, full_rank_minor_gcd
 from .matrixfile import parse_matrix
 from .normal_forms import (
     NotUnimodularError,
-    SmithConvergenceError,
     _is_oi_block,
     complete_to_gl,
     hnf,
@@ -397,7 +396,7 @@ def main(argv: list[str] | None = None) -> int:
         payload = {"error": "not_unimodular", "minor_gcd": gcd, "message": str(exc)}
         sys.stdout.write(json.dumps(payload, indent=2) + "\n")
         return EXIT_NOT_UNIMODULAR
-    except (ValueError, OverflowError, OSError, SmithConvergenceError) as exc:
+    except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     sys.stdout.write(out)

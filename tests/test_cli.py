@@ -574,19 +574,6 @@ def test_analyze_minor_gcd_past_the_str_digits_limit_names_it(tmp_path, capsys, 
     assert err.startswith(f"error: an output entry has {2 * e + 1} digits, past the limit")
 
 
-def test_analyze_snf_round_cap_exits_2(tmp_path, capsys, monkeypatch):
-    # no input is known to reach the cap, so the convergence test is made to
-    # fail; the cap's RuntimeError used to escape main() as a traceback
-    monkeypatch.setattr("unimat.normal_forms._diagonal_positions", lambda s: None)
-    path = _write(tmp_path, "m.txt", "2 3\n1 2 3\n4 5 6\n")
-    code, out, err = _run(capsys, "analyze", path, "--mode", "snf")
-    assert (code, out) == (2, "")
-    assert err == (
-        "error: the Smith form did not converge within 200 rounds of alternating "
-        "column and row Hermite reduction\n"
-    )
-
-
 def _csv(values: list[int]) -> str:
     return ",".join(map(str, values))
 

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from sympy.matrices.normalforms import smith_normal_form
 
 from unimat import normal_forms
-from unimat.matrix import IntMatrix, _det_at, full_rank_minor_gcd, is_unimodular, minors
+from unimat.matrix import IntMatrix, _det_at, _xgcd, full_rank_minor_gcd, is_unimodular, minors
 from unimat.matrixfile import parse_matrix
 from unimat.normal_forms import (
     NotUnimodularError,
@@ -297,7 +297,8 @@ def test_snf_invariant_under_unimodular_multiplication():
 
 def test_snf_divisibility_repair_has_no_step_cap():
     # diag(2^142, ..., 2) is already diagonal but in reverse divisibility
-    # order: sorting it takes C(142, 2) = 10,011 gcd/lcm steps
+    # order; the least pivot of each active block puts it in order, one
+    # pass per position
     n = 142
     a = IntMatrix.from_rows([[2 ** (n - i) if i == j else 0 for j in range(n)] for i in range(n)])
     res = snf(a)
@@ -335,6 +336,54 @@ def test_snf_roundtrip_property(a):
     assert abs(res.R.det()) == 1
     for x, y in zip(res.invariant_factors, res.invariant_factors[1:]):
         assert y % x == 0
+
+
+@st.composite
+def _smith_inputs(draw):
+    """k x m matrices of any shape up to 7 x 7 and rank 0..min(k, m), with
+    entries of about 3 or 130 bits; row i may be scaled by f^i, which gives
+    longer divisibility chains."""
+    k, m = draw(st.integers(1, 7)), draw(st.integers(1, 7))
+    rank = draw(st.integers(0, min(k, m)))
+    bits = draw(st.sampled_from((3, 130)))
+    f = draw(st.sampled_from((1, 2, 6)))
+    rows = _ranked(random.Random(draw(st.integers(0, 2**32))), k, m, rank, bits).to_rows()
+    return [[f**i * e for e in row] for i, row in enumerate(rows)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_smith_inputs())
+@example([[0, 0], [0, 0], [0, 0]])  # rank 0
+@example([[2**142 if i == j else 0 for j in range(3)] for i in range(3)])
+@example([[2, 0], [0, 3]])  # 2 does not divide 3: a row is added to row 0
+def test_smith_ends_within_its_pass_bound(s):
+    # L s R = S with S = diag(d_1..d_rank) top-left. At each position t,
+    # a pass's pivot is at most half the last one's, or equal to it when a
+    # row was added, so the passes stay within 2 bits(p_0), p_0 the first
+    k, m = len(s), len(s[0])
+    a = IntMatrix.from_rows(s)
+    pivots = {}
+    clear_cross = normal_forms._clear_cross
+
+    def spy(s, l_rows, r_rows, t):
+        pivots.setdefault(t, []).append(s[t][t])
+        return clear_cross(s, l_rows, r_rows, t)
+
+    r_rows = [[int(i == j) for j in range(m)] for i in range(m)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(normal_forms, "_clear_cross", spy)
+        out, l_rows = normal_forms._smith([list(row) for row in s], r_rows)
+    big_s, big_l, big_r = IntMatrix.from_rows(out), IntMatrix.from_rows(l_rows), IntMatrix.from_rows(r_rows)
+    assert big_l @ a @ big_r == big_s
+    assert abs(big_l.det()) == 1 and abs(big_r.det()) == 1
+    d = [out[t][t] for t in range(min(k, m)) if out[t][t]]
+    assert all(out[i][j] == (d[i] if i == j < len(d) else 0) for i in range(k) for j in range(m))
+    assert all(x > 0 for x in d) and all(y % x == 0 for x, y in zip(d, d[1:]))
+    sym = smith_normal_form(sympy.Matrix(s))
+    assert d == sorted(abs(sym[i, j]) for i in range(k) for j in range(m) if sym[i, j] != 0)
+    for t, seen in pivots.items():
+        assert all(2 * q <= p or q == p for p, q in zip(seen, seen[1:])), (t, seen)
+        assert len(seen) <= 2 * seen[0].bit_length(), (t, seen)
 
 
 @st.composite
@@ -437,10 +486,10 @@ def test_transforms_property(a):
 
 def _window_path(b, n):
     """Which way _complete builds the completion of b: 'window', 'mixed'
-    (the other columns mixed into the window first) or 'hermite' (neither
+    (the other columns mixed into the window first) or 'smith' (neither
     has gcd 1)."""
     found = normal_forms._window(b, n)
-    return "hermite" if found is None else "window" if found[1] is None else "mixed"
+    return "smith" if found is None else "window" if found[1] is None else "mixed"
 
 
 def _common_factor_matrices(r, count):
@@ -463,7 +512,7 @@ def test_every_completion_path_is_exact(monkeypatch):
             seen.add(_window_path(b, a.cols))
         _assert_transforms(a)
     assert seen == {"window", "mixed"}
-    # about 1 in 3,000 of these has neither; the Hermite completion is
+    # about 1 in 3,000 of these has neither; the completion from _smith is
     # checked on all of them
     monkeypatch.setattr(normal_forms, "_window", lambda b, n: None)
     for a in _common_factor_matrices(random.Random(92), 100):
@@ -480,9 +529,10 @@ def _pinned_sample():
                     yield _ranked(random.Random(f"pin/{k}x{n}/{rank}/{bits}"), k, n, rank, bits)
 
 
-# sha256 over the H and S of _pinned_sample, as computed by the column
-# elimination and Smith alternation that carried U, V and L through the
-# whole matrix: the completion changes U, L and R, never H or S
+# sha256 over the H and S of _pinned_sample, as first computed by an exact
+# column elimination and a Smith reduction that carried U, V and L through
+# the whole matrix. H and S are canonical: the completion and the least-
+# pivot Smith reduction change U, L and R, never H or S
 _PINNED_HS = "2a0a6a6af128a332d40658f168b95e7209cdf4034ebabf1d7f90b7496d04f3b6"
 
 
@@ -509,19 +559,25 @@ def _transform_sample():
         yield _unimodular_rows(random.Random(f"pin/{n}x{n}"), n, n)
 
 
-# sha256 over the U, L, R and completion of _transform_sample. They are not
-# canonical, so this pins the construction: any change to how the
-# completion solves its systems must leave them byte-identical
-_PINNED_TRANSFORMS = "1027a82a0b74fc95ee7547b813c3582c3d8f0938b7c8d50e334c56376d2ec823"
+# sha256 over the transforms of _transform_sample. They are not canonical,
+# so this pins the construction: any change to how the completion solves
+# its systems must leave them byte-identical. U and the completion never
+# reach _smith (every pivot basis here has a window), and their digest
+# predates it; L and R were re-pinned when _smith became the least-pivot
+# reduction, which takes other row and column steps to the same S
+_PINNED_U_AND_COMPLETION = "333cd589d4e09b502eea6fbba12f746077e71e03fc0253e608a74ee035f88e32"
+_PINNED_L_AND_R = "00ea84807f067fc8b8914935e2fce5d6df19df13c7ad1ef0ce129092560a12da"
 
 
 def test_transforms_are_pinned():
-    digest = hashlib.sha256()
+    u_and_completion, l_and_r = hashlib.sha256(), hashlib.sha256()
     for a in _transform_sample():
         s = snf(a)
         m = complete_to_gl(a).entries if is_unimodular(a) else None
-        digest.update(repr((hnf(a).U.entries, s.L.entries, s.R.entries, m)).encode())
-    assert digest.hexdigest() == _PINNED_TRANSFORMS
+        u_and_completion.update(repr((hnf(a).U.entries, m)).encode())
+        l_and_r.update(repr((s.L.entries, s.R.entries)).encode())
+    digests = (u_and_completion.hexdigest(), l_and_r.hexdigest())
+    assert digests == (_PINNED_U_AND_COMPLETION, _PINNED_L_AND_R)
 
 
 # A 6 x 14 input of the benchmark's analyze corpus (seed 1), the last rows
@@ -601,6 +657,53 @@ def _hermite_cases(draw):
     return IntMatrix.from_rows(rows)
 
 
+def _column_reduce(h: list[list[int]]) -> int:
+    """Reduce h in place to column-Hermite form by exact column steps, and
+    return det V = +-1 for H = A @ V: the oracle that _hermite, which works
+    modulo a maximal minor, must agree with. Its entries can grow far past
+    those of H.
+
+    Rows are processed bottom-up; each row that is not zero on the remaining
+    active columns collects the gcd of those entries into the rightmost free
+    column (its pivot), then reduces its entries right of the pivot modulo
+    the pivot. Processed rows are never disturbed afterwards: every later
+    operation only combines columns in which they vanish.
+    """
+    n = len(h[0])
+    det = 1
+
+    pc = n - 1  # rightmost column not yet claimed by a pivot
+    for i in range(len(h) - 1, -1, -1):
+        if pc < 0:
+            break
+        row = h[i]
+        for j in range(pc):
+            if row[j] == 0:
+                continue
+            a, b = row[pc], row[j]
+            g, x, y = _xgcd(a, b)
+            p, q = -(b // g), a // g  # det [[x, p], [y, q]] = (x*a + y*b)/g = 1
+            for hr in h:
+                hp, hj = hr[pc], hr[j]
+                hr[pc] = x * hp + y * hj
+                hr[j] = p * hp + q * hj
+        g = row[pc]
+        if g == 0:
+            continue  # no pivot for this row; the column stays available
+        if g < 0:
+            g = -g
+            for hr in h:
+                hr[pc] = -hr[pc]
+            det = -det
+        for j in range(pc + 1, n):
+            q = row[j] // g  # floor division leaves row[j] mod g in [0, g)
+            if q:
+                for hr in h:
+                    hr[j] -= q * hr[pc]
+        pc -= 1
+    return det
+
+
 @settings(max_examples=300, deadline=None)
 @given(_hermite_cases())
 @example(IntMatrix.from_rows([[0, 0, 0], [0, 0, 0]]))  # rank 0
@@ -612,7 +715,7 @@ def _hermite_cases(draw):
 def test_hermite_matches_the_column_elimination(a):
     h, piv, det = normal_forms._hermite(a)
     oracle = a.to_rows()
-    det_v = normal_forms._column_reduce(oracle)
+    det_v = _column_reduce(oracle)
     assert h == oracle
     if len(piv) == a.cols:
         assert det == det_v
@@ -732,7 +835,7 @@ def _sweep_moduli(monkeypatch):
 def _assert_h_and_triviality(a):
     h, _, _ = normal_forms._hermite(a)
     oracle = a.to_rows()
-    normal_forms._column_reduce(oracle)
+    _column_reduce(oracle)
     assert h == oracle
     assert is_trivial_hnf(a) == (full_rank_minor_gcd(a) == 1)
 
