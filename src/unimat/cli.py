@@ -13,7 +13,11 @@ because the matrix is not unimodular, 4 enumeration or sampling budget
 exceeded.
 
 main() may be called any number of times in one process; every call
-parses with the one parser built on the first.
+parses with the one parser built on the first. A call whose first word
+names a subcommand parses the words after it with that subcommand's parser
+alone, as the full parser would; an empty argv, any other first word, or
+words the subcommand leaves over go through the full parser, which writes
+every help text and usage error.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ import argparse
 import csv
 import functools
 import io
-import json
 import math
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
 from .density import (
@@ -81,8 +85,49 @@ def _dec(e: int) -> str:
         ) from None
 
 
-def _mat_json(a: IntMatrix) -> list[list[str]]:
-    return [[_dec(e) for e in a.row(i)] for i in range(a.rows)]
+def _json(obj: Any, nl: str) -> str:
+    """obj as json.dumps(obj, indent=2) writes it, each line after its
+    first starting with nl, a newline and the current indent. An IntMatrix
+    is written as its rows of decimal strings, and its first entry past the
+    int-to-str limit raises _dec's error. Types are matched exactly, as a
+    report holds no subclasses. (With indent, json.dumps runs in pure
+    Python.)"""
+    t = type(obj)
+    if t is str:
+        return _quote(obj)
+    if t is int:
+        return repr(obj)
+    inner = nl + "  "
+    if t is dict:
+        items = [_quote(k) + ": " + _json(v, inner) for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(items) + nl + "}" if items else "{}"
+    if t is list:
+        items = [_json(v, inner) for v in obj]
+        return "[" + inner + ("," + inner).join(items) + nl + "]" if items else "[]"
+    if t is IntMatrix:
+        e, c, cell = obj.entries, obj.cols, inner + "  "
+        try:
+            rows = [('",' + cell + '"').join(map(str, e[i : i + c])) for i in range(0, len(e), c)]
+        except ValueError:
+            for x in e:
+                _dec(x)
+            raise
+        return "[" + inner + ("," + inner).join(f'[{cell}"{r}"{inner}]' for r in rows) + nl + "]"
+    if obj is None:
+        return "null"
+    if t is bool:
+        return "true" if obj else "false"
+    if t is float:
+        if math.isfinite(obj):
+            return repr(obj)
+        return "NaN" if obj != obj else "Infinity" if obj > 0 else "-Infinity"
+    raise TypeError(f"Object of type {t.__name__} is not JSON serializable")
+
+
+def _report(payload: dict[str, Any]) -> str:
+    """json.dumps(payload, indent=2) + "\\n", with IntMatrix values as
+    _json writes them."""
+    return _json(payload, "\n") + "\n"
 
 
 def _frac(q: Fraction) -> str:
@@ -154,32 +199,33 @@ def _cmd_analyze(args: argparse.Namespace) -> tuple[str, int]:
         payload["unimodular"] = g == 1
     elif args.mode == "hnf":
         res = hnf(a)
-        payload["H"] = _mat_json(res.H)
-        payload["U"] = _mat_json(res.U)
+        payload["H"] = res.H
+        payload["U"] = res.U
         payload["det_U"] = str(res.detU)
         payload["trivial"] = _is_oi_block(res.H.to_rows())  # H is canonical: no second hnf
     elif args.mode == "snf":
         res = snf(a)
-        payload["S"] = _mat_json(res.S)
+        payload["S"] = res.S
+        # the factors are S's nonzero entries in order, so converting them
+        # first names the same entry past the limit that S's would
         payload["invariant_factors"] = [_dec(d) for d in res.invariant_factors]
-        payload["L"] = _mat_json(res.L)
-        payload["R"] = _mat_json(res.R)
+        payload["L"] = res.L
+        payload["R"] = res.R
     else:
-        m = complete_to_gl(a)
-        payload["completion"] = _mat_json(m)
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+        payload["completion"] = complete_to_gl(a)
+    return _report(payload), EXIT_OK
 
 
 def _cmd_density(args: argparse.Namespace) -> tuple[str, int]:
     rep = density_exact(args.k, args.n, args.tol)
     payload = {"k": args.k, "n": args.n, "tol": args.tol, **_density_json(rep)}
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+    return _report(payload), EXIT_OK
 
 
 def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
     rep = density_limit(args.d, args.tol)
     payload = {"d": args.d, "tol": args.tol, **_density_json(rep)}
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+    return _report(payload), EXIT_OK
 
 
 def _digit_count(exponents: dict[int, int]) -> int:
@@ -219,7 +265,7 @@ def _cmd_local(args: argparse.Namespace) -> tuple[str, int]:
         "n": n,
         "density": _frac(q),
     }
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+    return _report(payload), EXIT_OK
 
 
 def _cmd_estimate(args: argparse.Namespace) -> tuple[str, int]:
@@ -227,7 +273,7 @@ def _cmd_estimate(args: argparse.Namespace) -> tuple[str, int]:
     rep = estimate_density(spec, args.samples, args.seed, args.shards, args.budget)
     if args.format == "csv":
         return _csv_text([_estimate_csv_row(rep)]), EXIT_OK
-    return json.dumps(_estimate_json(rep), indent=2) + "\n", EXIT_OK
+    return _report(_estimate_json(rep)), EXIT_OK
 
 
 def _cmd_exhaustive(args: argparse.Namespace) -> tuple[str, int]:
@@ -241,7 +287,7 @@ def _cmd_exhaustive(args: argparse.Namespace) -> tuple[str, int]:
         "hits": str(rep.hits),
         "density": _frac(rep.density),
     }
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+    return _report(payload), EXIT_OK
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
@@ -258,7 +304,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[str, int]:
         "shards": args.shards,
         "rows": [_estimate_json(r) for r in reps],
     }
-    return json.dumps(payload, indent=2) + "\n", EXIT_OK
+    return _report(payload), EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -376,9 +422,25 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """_parser().parse_args(argv), with the words after a subcommand's name
+    parsed by that subcommand's parser alone, as the full parser would hand
+    them on. An argv that names no subcommand, or whose subcommand leaves
+    words over, goes through the full parser."""
+    parser = _parser()
+    if argv:
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        sub = commands.choices.get(argv[0])
+        if sub is not None:
+            args, rest = sub.parse_known_args(argv[1:], argparse.Namespace(command=argv[0]))
+            if not rest:
+                return args
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(sys.argv[1:] if argv is None else argv)
     except SystemExit as exc:
         code = exc.code
         return code if isinstance(code, int) else EXIT_USAGE
@@ -394,7 +456,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"error: {err}", file=sys.stderr)
             return EXIT_USAGE
         payload = {"error": "not_unimodular", "minor_gcd": gcd, "message": str(exc)}
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        sys.stdout.write(_report(payload))
         return EXIT_NOT_UNIMODULAR
     except (ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -24,6 +24,8 @@ from test_experiments import brute_hits
 from unimat import cli
 from unimat.cli import main
 from unimat.density import PrimeSet, local_density
+from unimat.matrix import IntMatrix
+from unimat.normal_forms import snf
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -558,7 +560,16 @@ def test_analyze_output_past_the_str_digits_limit_names_it(tmp_path, capsys):
         r"environment variable \(0 removes it\)\n",
         err,
     )
-    assert m and int(m[1]) > limit and int(m[2]) == limit, err
+    # the entry named is the first one past the limit in the order the
+    # report holds them: S, the invariant factors, L, R
+    res = snf(IntMatrix.from_rows(rows))
+    entries = [*res.S.entries, *res.invariant_factors, *res.L.entries, *res.R.entries]
+    sys.set_int_max_str_digits(0)
+    try:
+        first = next(d for d in (len(str(abs(e))) for e in entries) if d > limit)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert m and (int(m[1]), int(m[2])) == (first, limit), err
 
 
 @pytest.mark.skipif(not getattr(sys, "get_int_max_str_digits", lambda: 0)(),
@@ -729,3 +740,87 @@ def test_main_reuses_one_parser_with_the_output_of_fresh_runs(tmp_path, monkeypa
         assert run == _fresh(argv), argv
     # callers of build_parser own what they get
     assert len({id(p) for p in (real_build(), real_build(), cli._parser())}) == 3
+
+
+# Leaves of every kind a report can hold, and the edge cases of each:
+# strings json must escape, ints past 64 bits, floats json spells apart.
+_JSON_LEAF = (
+    st.text()
+    | st.sampled_from(["", "\"", "\\", "\x00\x1f\x7f", "\t\n\r\b\f", "\u00e9\u2028\U0001f600", "</"])
+    | st.integers()
+    | st.sampled_from([-1, 0, 10**100, -(10**100)])
+    | st.floats()
+    | st.sampled_from([-0.0, 5e-324, 1e308, float("nan"), float("inf"), float("-inf")])
+    | st.booleans()
+    | st.none()
+)
+_JSON = st.recursive(
+    _JSON_LEAF,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(obj=_JSON)
+def test_json_writer_matches_the_stdlib_encoder(obj):
+    assert cli._json(obj, "\n") == json.dumps(obj, indent=2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(rows=st.integers(1, 4).flatmap(
+    lambda n: st.lists(st.lists(st.integers() | st.sampled_from([10**40, -(10**40)]), min_size=n, max_size=n),
+                       min_size=1, max_size=4)))
+def test_json_writer_writes_a_matrix_as_rows_of_decimal_strings(rows):
+    a = IntMatrix.from_rows(rows)
+    as_lists = [[str(e) for e in row] for row in rows]
+    assert cli._report({"H": a, "k": [a]}) == json.dumps({"H": as_lists, "k": [as_lists]}, indent=2) + "\n"
+
+
+def _parsed(parse, argv: list[str]) -> tuple[object, str, str]:
+    """vars() of parse(argv), or the code it exits with, and what it wrote."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            result = vars(parse(argv))
+        except SystemExit as exc:
+            result = exc.code
+    return result, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("argv", [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-x"],
+    ["bogus"],
+    ["bogus", "--k", "1"],
+    ["analyze"],
+    ["analyze", "-h"],
+    ["analyze", "m.txt", "--mo", "snf"],
+    ["analyze", "m.txt", "--mode=hnf"],
+    ["analyze", "m.txt", "--mode", "lll"],
+    ["analyze", "m.txt", "extra.txt", "--mode", "snf"],
+    ["analyze", "--", "m.txt", "--mode", "snf"],
+    ["--", "density", "--k", "1", "--n", "2"],
+    ["density", "--k", "1", "--n", "2", "--unknown"],
+    ["density", "--k", "1", "--n", "2", "--he"],
+    ["density", "--k", "1", "--k", "2", "--n", "3"],
+    ["density", "--k", "x", "--n", "2"],
+    ["density", "--k", "1"],
+    ["limit", "--d", "1", "--tol", "1e-17"],
+    ["local", "--pr", "2,3", "--k", "1", "--n", "2"],
+    ["estimate", "--help"],
+    ["estimate", "--k", "1", "--n", "2", "--bound", "9", "--samples", "5", "--format", "csv"],
+    ["sweep", "--k", "1", "--n", "2", "--bounds", "1,5", "--samples", "5", "-h", "--unknown"],
+    ["exhaustive", "--k", "2", "--n", "2", "--bound", "2", "--budget", "0"],
+])
+def test_main_parses_like_the_full_parser(argv, monkeypatch):
+    # main parses the words after a subcommand's name with that
+    # subcommand's parser alone; help texts, usage errors and the parsed
+    # arguments must be those of the full parser
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parsed(cli.build_parser().parse_args, argv)
+    assert _parsed(cli._parse, argv) == full
+    if not isinstance(full[0], dict):
+        assert _in_process(argv) == full
