@@ -10,8 +10,10 @@ mod p enumerate the first rows of a matrix (the prefix), key the prefix
 by an exact invariant that decides how many last rows complete it, and
 count those last rows once per key. A box prefix is enumerated as a
 weighted multiset of columns, and its last rows are counted by folding
-the gcd over value lists of the whole last-row box; a mod-p prefix is
-extended once per wider span. Every count is exact.
+the gcd over value lists of the whole last-row box. A row v over Z/pZ is
+coded as the integer sum v_i p^(n-1-i), so a mod-p prefix keeps its span
+as a set of ints, each candidate row is one lookup of an int, and the
+prefix is extended once per wider span. Every count is exact.
 
 Sampling is counter-addressed: entry e of sample i is draw number
 i*k*n + e on [0, 2B) of the stream (see rng), shifted onto [-B, B). Up to
@@ -446,7 +448,7 @@ def verify_local_density(p: int, k: int, n: int, budget: int = DEFAULT_BUDGET) -
     if not (1 <= k <= n):
         raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
     total = _budgeted(p, k * n, budget, "p^(kn)")
-    counted = _independent_rows({(0,) * n}, k, n, p)
+    counted = _independent_rows({0}, k, n, p)
     expected = count_full_rank_mod_p(p, k, n)
     empirical = Fraction(counted, total)
     formula = local_density(PrimeSet((p,)), k, n)
@@ -456,28 +458,48 @@ def verify_local_density(p: int, k: int, n: int, budget: int = DEFAULT_BUDGET) -
     )
 
 
-def _independent_rows(span: set[tuple[int, ...]], left: int, n: int, p: int) -> int:
+def _independent_rows(span: set[int], left: int, n: int, p: int) -> int:
     """Ways to append `left` rows over Z/pZ to an independent prefix whose
     F_p-combinations are `span`, keeping the rows independent.
 
-    Each of the p^n candidate rows costs one set lookup: it is independent
-    of the prefix iff it lies outside the span. A taken row v's wider span
-    W is built by enumerating span + c * v for every c, never from
-    |span| = p^t. Every row of W outside the span gives the same W, so W
-    is built once, its rows are marked done, and its count is multiplied
-    by |W| - |span|, the number of rows that give it.
+    A row v is coded as the integer sum v_i p^(n-1-i), so the p^n candidate
+    rows are range(p^n), in the order of product(range(p), repeat=n), and
+    each costs one set lookup: it is independent of the prefix iff its code
+    lies outside the span. A taken row v's wider span W is built by adding
+    v to every code of the previous coset span + (c - 1) * v (_add_codes),
+    never from |span| = p^t. Every row of W outside the span gives the same
+    W, so W is built once, its rows are marked done, and its count is
+    multiplied by |W| - |span|, the number of rows that give it.
     """
-    rows = product(range(p), repeat=n)
+    rows = range(p**n)
     if left == 1:
         return countOf(map(span.__contains__, rows), False)
     count = 0
     done = set(span)
     for v in filterfalse(done.__contains__, rows):
-        multiples = [tuple(c * x % p for x in v) for c in range(1, p)]
         wider = set(span)
-        for s in span:
-            for m in multiples:
-                wider.add(tuple([(x + y) % p for x, y in zip(s, m)]))
+        coset = span
+        for _ in range(p - 1):
+            coset = [_add_codes(s, v, p) for s in coset]
+            wider.update(coset)
         done |= wider
         count += (len(wider) - len(span)) * _independent_rows(wider, left - 1, n, p)
     return count
+
+
+def _add_codes(a: int, b: int, p: int) -> int:
+    """Code of the digitwise sum mod p of the rows coded a and b.
+
+    a + b adds the digits without reduction, so the sum is a + b less
+    p^(e+1) for every digit p^e where the two digits reach p. Once a or b
+    has no digit left, no further digit can reach p.
+    """
+    total = a + b
+    place = p
+    while a and b:
+        a, x = divmod(a, p)
+        b, y = divmod(b, p)
+        if x + y >= p:
+            total -= place
+        place *= p
+    return total

@@ -19,6 +19,8 @@ from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from sympy import factorint
 
 from test_rng import _reference_stream
@@ -27,6 +29,7 @@ from unimat.experiments import (
     BoxSpec,
     BudgetError,
     DEFAULT_BUDGET,
+    _add_codes,
     _count_hits,
     _estimate_report,
     _mobius,
@@ -36,7 +39,7 @@ from unimat.experiments import (
     sample_matrix,
     verify_local_density,
 )
-from unimat.density import is_prime
+from unimat.density import count_full_rank_mod_p, is_prime
 from unimat.matrix import IntMatrix, is_unimodular, minors
 
 
@@ -390,3 +393,50 @@ def test_verify_local_density_equals_elimination(p, k, n):
     chk = verify_local_density(p, k, n)
     assert chk.counted == sum(_full_rank_mod_p(f, k, n, p) for f in product(range(p), repeat=k * n))
     assert chk.matches
+
+
+# past the oracle's range: 10^6, 10^6, 10^6, 5.3 * 10^5, 3.9 * 10^5 and
+# 1.2 * 10^5 matrices, against the closed form prod_j (p^n - p^j)
+@pytest.mark.parametrize("p,k,n", [(2, 1, 20), (2, 2, 10), (2, 4, 5), (3, 3, 4), (5, 2, 4), (7, 2, 3)])
+def test_verify_local_density_past_the_oracle(p, k, n):
+    chk = verify_local_density(p, k, n)
+    assert chk.counted == count_full_rank_mod_p(p, k, n)
+    assert chk.matches
+
+
+def _code(digits: tuple[int, ...], p: int) -> int:
+    """sum v_i p^(n-1-i), the census's integer code of the row v."""
+    code = 0
+    for x in digits:
+        code = code * p + x
+    return code
+
+
+def _decode(code: int, p: int, n: int) -> tuple[int, ...]:
+    digits = []
+    for _ in range(n):
+        code, x = divmod(code, p)
+        digits.append(x)
+    return tuple(reversed(digits))
+
+
+@st.composite
+def _digit_pairs(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 11]))
+    n = draw(st.integers(1, 8))
+    row = st.tuples(*[st.integers(0, p - 1)] * n)
+    return p, draw(row), draw(row)
+
+
+@settings(max_examples=500, deadline=None)
+@given(case=_digit_pairs())
+def test_add_codes_is_digitwise_addition_mod_p(case):
+    p, a, b = case
+    assert _add_codes(_code(a, p), _code(b, p), p) == _code(tuple((x + y) % p for x, y in zip(a, b)), p)
+
+
+@pytest.mark.parametrize("p,n", [(p, n) for p in (2, 3, 5, 7, 11) for n in range(1, 9) if p**n <= 2 * 10**4])
+def test_codes_enumerate_rows_in_product_order(p, n):
+    rows = list(product(range(p), repeat=n))
+    assert [_decode(c, p, n) for c in range(p**n)] == rows
+    assert [_code(v, p) for v in rows] == list(range(p**n))
