@@ -32,13 +32,7 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Any
 
-from .density import (
-    PrimeSet,
-    _local_denominator_exponents,
-    density_exact,
-    density_limit,
-    local_density,
-)
+from .density import PrimeSet, density_exact, density_limit, local_density
 from .experiments import (
     DEFAULT_BUDGET,
     BoxSpec,
@@ -131,7 +125,10 @@ def _report(payload: dict[str, Any]) -> str:
 
 
 def _frac(q: Fraction) -> str:
-    return f"{q.numerator}/{q.denominator}"
+    """q as "numerator/denominator"; an integer past the int-to-str limit
+    raises _dec's error, which for a fraction below 1 names the denominator."""
+    den = _dec(q.denominator)
+    return f"{_dec(q.numerator)}/{den}"
 
 
 def _density_json(rep) -> dict[str, Any]:
@@ -228,36 +225,25 @@ def _cmd_limit(args: argparse.Namespace) -> tuple[str, int]:
     return _report(payload), EXIT_OK
 
 
-def _digit_count(exponents: dict[int, int]) -> int:
-    """Decimal digits of prod_p p^e, from logarithms."""
-    return math.floor(sum(e * math.log10(p) for p, e in exponents.items())) + 1
+# local builds its density only while the unreduced denominator has at most
+# this many digits: about 0.3 s to build there, and as long to print, on a
+# 2-core VM
+_LOCAL_DIGITS = 100_000
 
 
 def _cmd_local(args: argparse.Namespace) -> tuple[str, int]:
     s = PrimeSet.from_iterable(args.primes)
     k, n = args.k, args.n
-    # The density's denominator divides prod_p p^S, S = (n-k+1) + ... + n,
-    # and exceeds its numerator. Only when that bound has more digits than
-    # str() may print is the reduced denominator counted, from the
-    # numerator's p-adic valuations, so ordinary requests pay nothing; a
-    # count past the limit refuses before the density is computed. A count
-    # left partial by the search budget decides only past the limit;
-    # otherwise the unreduced bound does.
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    if limit and k <= n:
-        bound, digits = "up to", _digit_count(dict.fromkeys(s.primes, k * (2 * n - k + 1) // 2))
-        if digits > limit:
-            exponents, exact = _local_denominator_exponents(s, k, n)
-            reduced = _digit_count(exponents)
-            if exact or reduced > limit:
-                bound, digits = ("up to" if exact else "at least"), reduced
-        if digits > limit:
-            raise ValueError(
-                f"the exact density needs {bound} {digits} digits, "
-                f"past the limit of {limit} digits for printing an integer; use smaller k, n "
-                f"or primes, or raise the limit with the PYTHONINTMAXSTRDIGITS "
-                f"environment variable (0 removes it)"
-            )
+    # The unreduced denominator is prod_p p^S, S = (n-k+1) + ... + n. S is
+    # clamped before the float product, so a huge n cannot overflow it, and
+    # as log10(p) >= 0.3 the clamp keeps the comparison's result.
+    total = min(k * (2 * n - k + 1) // 2, 4 * _LOCAL_DIGITS)
+    if k <= n and total * sum(map(math.log10, s.primes)) >= _LOCAL_DIGITS:
+        raise ValueError(
+            f"the exact density's unreduced denominator, prod_p p^S with "
+            f"S = (n-k+1) + ... + n, is past the limit of {_LOCAL_DIGITS} digits "
+            f"that local builds; use smaller k, n or primes"
+        )
     q = local_density(s, k, n)
     payload = {
         "primes": [str(p) for p in s.primes],

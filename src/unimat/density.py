@@ -207,16 +207,19 @@ def _zeta_sweep(lo: int, hi: int, tol: Decimal) -> tuple[list[Decimal], list[Dec
         ctx.prec = digits
         zero, half, one, big_n = Decimal(0), Decimal("0.5"), Decimal(1), Decimal(n_cut)
         unit, tiny = one.scaleb(1 - digits), one.scaleb(-digits)
-        # terms below 10^(-digits) are left out against the rounding allowance
+        # terms below 10^(-digits) are left out against the rounding allowance;
+        # lo enters the float products clamped, which cannot overflow and, as
+        # log10(m) >= 0.3 and log_n >= 1, decides every comparison as lo would
+        clamped = min(lo, 4 * digits)
         powers = []
         for m in range(2, n_cut):
-            if lo * math.log10(m) >= digits:
+            if clamped * math.log10(m) >= digits:
                 break
             powers.append(one / Decimal(m**lo))
         steps = [one / m for m in range(2, len(powers) + 2)] if hi > lo else []
         # below the threshold the whole tail sum_{m>=N} m^(-j), at most
         # N^(-j) + N^(1-j)/(j-1), is under 2 * 10^(-digits)
-        tail = (lo - 1) * log_n < digits
+        tail = (clamped - 1) * log_n < digits
         if tail:
             power_n = one / Decimal(n_cut**lo)
             threshold = tol / 2 * n_cut**lo  # (tol/2) / N^(-j)
@@ -358,75 +361,6 @@ def local_density(s: PrimeSet, k: int, n: int) -> Fraction:
             num *= q - 1
             den *= q
     return Fraction(num, den)  # reduced once, not once per factor
-
-
-# Steps of multiplicative-order search that _local_denominator_exponents
-# may take over all pairs of primes, about a second at most
-_ORDER_STEPS = 1 << 20
-
-
-def _factorial_valuation(m: int, p: int) -> int:
-    """v_p(m!), by Legendre's formula."""
-    v = 0
-    while m:
-        m //= p
-        v += m
-    return v
-
-
-def _local_denominator_exponents(s: PrimeSet, k: int, n: int) -> tuple[dict[int, int], bool]:
-    """The exponent of each p in s in the reduced denominator of
-    local_density(s, k, n), found without computing the density; and
-    whether every p is there.
-
-    The unreduced fraction is prod_{j,q} (q^j - 1) / prod_p p^S with
-    S = (n-k+1) + ... + n, j from n-k+1 to n and q in s, so p's exponent is
-    S minus the p-adic valuation of the numerator, at least 0. That
-    valuation sums v_p(q^j - 1) over q != p and is read off by lifting the
-    exponent. For odd p, p | q^j - 1 iff the order d of q mod p divides j,
-    and then v_p(q^j - 1) = v_p(q^d - 1) + v_p(j/d). For p = 2,
-    v_2(q^j - 1) is v_2(q - 1) for odd j and v_2(q - 1) + v_2(q + 1) +
-    v_2(j) - 1 for even j. Sums of v_p over a range come from Legendre's
-    formula, so the cost does not grow with k or n.
-
-    The primes are taken largest first, and the order searches of all
-    pairs share _ORDER_STEPS steps. When those run out, the primes not yet
-    done are left out, so the denominator the exponents give is a divisor
-    of the true one, and the flag is False.
-    """
-    if not (1 <= k <= n):
-        raise ValueError(f"need 1 <= k <= n, got k={k}, n={n}")
-    lo, hi = n - k + 1, n
-    total = k * (lo + hi) // 2
-    exponents: dict[int, int] = {}
-    steps = _ORDER_STEPS
-    for p in reversed(s.primes):
-        v = 0
-        for q in s.primes:
-            if q == p:
-                continue
-            if p == 2:
-                # v_2 of q - 1 and q + 1, from their lowest set bits
-                a, b = ((q - 1) & (1 - q)).bit_length() - 1, ((q + 1) & (-q - 1)).bit_length() - 1
-                even = hi // 2 - (lo - 1) // 2
-                v += k * a + even * (b - 1) + _factorial_valuation(hi, 2) - _factorial_valuation(lo - 1, 2)
-                continue
-            reach = min(hi, steps)
-            x, d = q % p, 1
-            while x != 1 and d < reach:
-                x, d = x * q % p, d + 1
-            steps -= d
-            if x != 1:
-                if reach < hi:
-                    return exponents, False
-                continue  # d > n, so p divides no q^j - 1
-            e = 1
-            while pow(q, d, p ** (e + 1)) == 1:
-                e += 1
-            first, last = (lo - 1) // d, hi // d
-            v += (last - first) * e + _factorial_valuation(last, p) - _factorial_valuation(first, p)
-        exponents[p] = max(0, total - v)
-    return exponents, True
 
 
 def divisibility_defect(p: int, k: int, n: int) -> Fraction:

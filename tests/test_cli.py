@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 from test_experiments import brute_hits
 from unimat import cli
 from unimat.cli import main
-from unimat.density import PrimeSet, local_density
+from unimat.density import PrimeSet, is_prime, local_density
 from unimat.matrix import IntMatrix
 from unimat.normal_forms import snf
 
@@ -192,9 +192,11 @@ def test_limit_huge_codimension_is_fast(capsys):
     assert abs(Decimal(data["value"]) - 1) <= Decimal(data["abs_error_bound"])
 
 
-def _cli_subprocess(argv: list[str], timeout: float) -> tuple[subprocess.CompletedProcess, float]:
-    """Run the CLI in a fresh interpreter, killed after timeout seconds."""
-    env = dict(os.environ)
+def _cli_subprocess(argv: list[str], timeout: float,
+                    extra_env: dict[str, str] | None = None) -> tuple[subprocess.CompletedProcess, float]:
+    """Run the CLI in a fresh interpreter, with extra_env added to its
+    environment, killed after timeout seconds."""
+    env = {**os.environ, **(extra_env or {})}
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     t0 = time.perf_counter()
     proc = subprocess.run([sys.executable, "-m", "unimat.cli", *argv], env=env,
@@ -207,6 +209,17 @@ def test_density_tol_1e30_within_one_second():
     assert proc.returncode == 0, proc.stderr
     assert elapsed < 1.0
     _assert_within_bound(json.loads(proc.stdout), _mp_inverse_zeta_product(2, 50, hi=2), 1e-30)
+
+
+@pytest.mark.parametrize("argv", [["density", "--k", "1", "--n", str(10**400)],
+                                  ["limit", "--d", str(10**400)]])
+def test_density_and_limit_answer_at_400_digit_arguments(capsys, argv):
+    # the zeta sweep once exited 2 with "int too large to convert to float"
+    code, out, err = _run(capsys, *argv)
+    assert code == 0, err
+    data = json.loads(out)
+    assert data["value"] == "1"
+    assert Decimal(data["abs_error_bound"]) <= Decimal(1e-12)
 
 
 def test_density_cost_independent_of_k():
@@ -271,18 +284,29 @@ def test_local_refuses_primes_past_the_primality_limit(capsys):
     assert "3317044064679887385961981" in err
 
 
-@pytest.mark.parametrize("k,digits", [(200, 6051), (100000, 1505165030)])
-def test_local_refuses_past_the_str_digits_limit_within_two_seconds(k, digits):
-    # the density's denominator is 2^(k(k+1)/2), with floor(log10 of it) + 1 digits
+def _dec_refusal(digits: int) -> str:
+    return (
+        f"error: an output entry has {digits} digits, past the limit of "
+        f"{sys.get_int_max_str_digits()} digits for integer string conversion; raise the "
+        "limit with the PYTHONINTMAXSTRDIGITS environment variable (0 removes it)\n"
+    )
+
+
+LOCAL_CAP_REFUSAL = (
+    "error: the exact density's unreduced denominator, prod_p p^S with "
+    "S = (n-k+1) + ... + n, is past the limit of 100000 digits that local builds; "
+    "use smaller k, n or primes\n"
+)
+
+
+# the density's denominator is 2^(k(k+1)/2): 6,051 digits at k = 200, past
+# the str limit, and 1,505,165,030 at k = 100000, past local's cap
+@pytest.mark.parametrize("k", [200, 100000])
+def test_local_refuses_past_the_str_digits_limit_within_two_seconds(k):
     proc, elapsed = _cli_subprocess(["local", "--primes", "2", "--k", str(k), "--n", str(k)], 2.0)
     assert proc.returncode == 2
     assert elapsed < 2.0
-    assert proc.stderr == (
-        f"error: the exact density needs up to {digits} digits, past the limit of "
-        f"{sys.get_int_max_str_digits()} digits for printing an integer; use smaller k, n or "
-        "primes, or raise the limit with the PYTHONINTMAXSTRDIGITS environment variable "
-        "(0 removes it)\n"
-    )
+    assert proc.stderr == (_dec_refusal(6051) if k == 200 else LOCAL_CAP_REFUSAL)
 
 
 def test_local_answers_just_below_the_str_digits_limit(capsys):
@@ -311,10 +335,10 @@ def test_local_prints_when_only_the_reduced_fraction_fits(capsys, k, n):
 def test_local_refusal_names_the_reduced_digit_count(capsys):
     code, _, err = _run(capsys, "local", "--primes", SEVENTEEN_PRIMES, "--k", "25", "--n", "25")
     assert code == 2
-    assert "needs up to 5720 digits" in err
+    assert "an output entry has 5720 digits" in err
 
 
-# the second input spends the order-search budget on 2 mod 1000000007
+# both unreduced denominators are past local's cap, so neither density is built
 @pytest.mark.parametrize("primes,k", [("2,3", "1000000000"), ("2,1000000007", "1")])
 def test_local_refuses_huge_n_within_one_second(primes, k):
     argv = ["local", "--primes", primes, "--k", k, "--n", "1000000000"]
@@ -322,6 +346,70 @@ def test_local_refuses_huge_n_within_one_second(primes, k):
     assert proc.returncode == 2
     assert elapsed < 1.0
     assert "past the limit" in proc.stderr
+
+
+# 2^(815*816/2) has 100,099 digits; 2^(10^400) and 6^(10^400) are past any cap
+@pytest.mark.parametrize("primes,k,n", [("2", 815, 815), ("2", 1, 10**400), ("2,3", 10**400, 10**400)])
+def test_local_refuses_past_the_cap_within_one_second(primes, k, n):
+    proc, elapsed = _cli_subprocess(["local", "--primes", primes, "--k", str(k), "--n", str(n)], 1.0)
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert elapsed < 1.0
+    assert proc.stderr == LOCAL_CAP_REFUSAL
+
+
+# 2^(814*815/2) has 99,854 digits, just under local's cap: the density is
+# built, and printed unless the str limit refuses it
+@pytest.mark.parametrize("str_digits", [None, "0"])
+def test_local_just_under_the_cap_answers_or_refuses_within_two_seconds(str_digits):
+    extra_env = {} if str_digits is None else {"PYTHONINTMAXSTRDIGITS": str_digits}
+    argv = ["local", "--primes", "2", "--k", "814", "--n", "814"]
+    proc, elapsed = _cli_subprocess(argv, 2.0, extra_env)
+    assert elapsed < 2.0
+    if proc.returncode == 2:
+        assert str_digits is None
+        assert proc.stderr == _dec_refusal(99854)
+        return
+    assert proc.returncode == 0, proc.stderr
+    den = json.loads(proc.stdout)["density"].split("/")[1]
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if limit:
+        sys.set_int_max_str_digits(0)
+    try:
+        assert den == str(2 ** (814 * 815 // 2))
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
+
+
+def test_local_prints_the_reduced_fraction_or_names_its_digit_count(capsys):
+    # local builds each density and prints it, or names the digit count of
+    # its reduced denominator when that is past the str limit; the random
+    # cases all print, the last two of 4,325 and 5,720 digits do not
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    r = random.Random(1311)
+    primes = [p for p in range(2, 200) if is_prime(p)]
+    cases = []
+    for _ in range(250):
+        s = PrimeSet(tuple(sorted(r.sample(primes, r.randint(1, 8)))))
+        n = r.randint(1, 24)
+        cases.append((s, r.randint(1, n), n))
+    seventeen = PrimeSet.from_iterable(map(int, SEVENTEEN_PRIMES.split(",")))
+    cases += [(seventeen, 20, 20), (PrimeSet((2,)), 169, 169), (seventeen, 25, 25)]
+    refused = 0
+    for s, k, n in cases:
+        want = local_density(s, k, n)
+        digits = Decimal(want.denominator).adjusted() + 1
+        argv = ["local", "--primes", ",".join(map(str, s.primes)), "--k", str(k), "--n", str(n)]
+        code, out, err = _run(capsys, *argv)
+        if limit and digits > limit:
+            assert (code, out) == (2, ""), argv
+            assert err == _dec_refusal(digits), argv
+            refused += 1
+        else:
+            assert code == 0, (argv, err)
+            assert json.loads(out)["density"] == f"{want.numerator}/{want.denominator}", argv
+    # at the default limit of 4,300 digits both fixed cases are refused
+    assert limit != 4300 or refused == 2
 
 
 def test_estimate_json_and_determinism(capsys):

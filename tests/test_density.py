@@ -19,7 +19,6 @@ import sympy
 from unimat import density as density_module
 from unimat.density import (
     PrimeSet,
-    _local_denominator_exponents,
     count_full_rank_mod_p,
     density_exact,
     density_limit,
@@ -325,40 +324,6 @@ def test_local_density_equals_per_factor_product():
         assert local_density(s, k, n) == _local_density_per_factor(s, k, n)
         p = s.primes[0]
         assert divisibility_defect(p, k, n) == 1 - _local_density_per_factor(PrimeSet((p,)), k, n)
-
-
-def _valuation(x: int, p: int) -> int:
-    v = 0
-    while x % p == 0:
-        x //= p
-        v += 1
-    return v
-
-
-def test_local_denominator_exponents_match_the_reduced_fraction(monkeypatch):
-    r = random.Random(1311)
-    primes = [p for p in range(2, 200) if is_prime(p)]
-    cases = []
-    for _ in range(250):
-        s = PrimeSet(tuple(sorted(r.sample(primes, r.randint(1, 8)))))
-        n = r.randint(1, 24)
-        k = r.randint(1, n)
-        den = local_density(s, k, n).denominator
-        cases.append((s, k, n, {p: _valuation(den, p) for p in s.primes}))
-    for s, k, n, want in cases:
-        assert _local_denominator_exponents(s, k, n) == (want, True)
-    # a search budget that runs out leaves the smaller primes out, flagged
-    monkeypatch.setattr(density_module, "_ORDER_STEPS", 12)
-    partial = 0
-    for s, k, n, want in cases:
-        exponents, complete = _local_denominator_exponents(s, k, n)
-        assert all(exponents[p] == want[p] for p in exponents)
-        assert complete == (exponents == want)
-        partial += not complete
-    assert partial > 50
-    # every order mod 59 is found within the 6 steps n = 6 allows, so only
-    # the budget the pairs share can run out
-    assert _local_denominator_exponents(first_primes(17), 6, 6) == ({}, False)
 
 
 def test_local_density_multiplicative_over_primes():
