@@ -3,10 +3,13 @@
 Reports go to stdout as JSON (or CSV where offered); diagnostics go to
 stderr. Integers carrying exact arithmetic content (entries, gcds,
 determinants, counts, bounds, seeds) are encoded as decimal strings so no
-consumer ever rounds them through floating point; shape and configuration
-fields (k, n, shards, samples) stay plain JSON numbers. Exact rationals
-are "numerator/denominator" strings, high-precision decimals are decimal
-strings. Identical invocations produce byte-identical output.
+consumer ever rounds them through floating point. Shape and configuration
+fields (k, n, d, shards, samples) and the zeta cutoffs of density and limit
+(terms.zeta_series_cutoffs, terms.product_cutoff) stay plain JSON numbers:
+exact for Python's json, but rounded past 2^53 by readers that hold
+numbers as doubles, as limit's product cutoff is at d = 10^400. Exact
+rationals are "numerator/denominator" strings, high-precision decimals are
+decimal strings. Identical invocations produce byte-identical output.
 
 Exit codes: 0 success, 2 usage or input errors, 3 completion refused
 because the matrix is not unimodular, 4 enumeration or sampling budget

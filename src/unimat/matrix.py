@@ -227,60 +227,83 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, (g - a * x) // b
 
 
-def _minor_gcd_mod(rows: Sequence[Sequence[int]], r: int) -> int:
-    """gcd D of the k x k minors of a k x n matrix (k <= n), given a
-    multiple r > 0 of it, by elimination modulo r without transforms.
+def _echelon_mod(
+    rows: Sequence[Sequence[int]], d: int
+) -> tuple[list[int], list[int], list[list[int]]]:
+    """(pivots, units, columns) of the elimination modulo d > 0 of k x n
+    rows (k <= n), bottom-up and without transforms, that gives both the
+    minor gcd and the column Hermite form (Domich, Kannan & Trotter, Math.
+    Oper. Res. 12, 1987; Cohen, GTM 138, Algorithm 2.4.8). The rows are
+    left as they are.
 
-    D | r means the column lattice L of A, whose index in Z^k is D,
-    contains r Z^k; integer row and column operations of determinant +-1
-    keep that index. Rows are taken bottom-up. A row with an entry u that
-    is a unit modulo r contributes 1: subtracting multiples of it clears
-    u's column from the rows above modulo r, so L holds the row's unit
-    vector, and D is the index of the lattice the rows above span. A row
-    with no unit is gathered into one pivot column by unimodular 2-column
-    steps, and contributes d = gcd(pivot, r). The part of L with that row
-    zero has index D / d and contains (r / d) Z^(k-1), so the pivot column
-    and the row are dropped and the elimination goes on modulo r / d.
-    Every entry an operation writes is reduced below r (Domich, Kannan &
-    Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138, Algorithm 2.4.8).
+    Integer column operations of determinant +-1 keep the column lattice L
+    of the rows, and L + d Z^k contains d Z^k, so every entry written is
+    reduced below the running modulus, which starts at d. Row i, read
+    modulo it, gets pivot g, the gcd of the modulus and its entries, and a
+    pivot column j whose entry g a' has gcd exactly g with the modulus: the
+    first unit entry if there is one (g = 1), else the first entry with
+    gcd g, else the column that 2-column xgcd steps gather the row into
+    until its entry there has gcd g. units[i] is a', a unit modulo the
+    modulus / g, and columns[i] is column j in the rows above, read before
+    they are cleared. Each row above then loses f times row i / g, f its
+    entry in column j times a'^-1, modulo the modulus / g, and is skipped
+    where f is 0. Clearing row i by the column steps c_t - (row i's entry
+    in t) / g * a'^-1 c_j and then dropping column j writes exactly the
+    same entries: it is the same rank-one update. The part of L that is
+    zero on row i has index det L / g, so the elimination goes on modulo
+    the modulus / g (Cohen's step 4). Row 0, and a row that is 0 modulo
+    the modulus, have nothing to clear and take g at once, with zeros
+    above.
 
-    The unit step costs one list pass per row above it and no gcd steps.
-    In the Monte Carlo finish r is mostly 2, 3 or 4, so most rows take it:
-    a 4x8 finish at B = 10^6 costs about 11 us, against 40 us when every
-    row was gathered by 2-column steps.
+    So math.prod(pivots) is the minor gcd D when d is a multiple of D, and
+    1 exactly when gcd(D, d) = 1; for rows of rank k and such a d the
+    pivots are the diagonal of their Hermite form, whose other entries
+    normal_forms._sweep reads off the units and columns. A row with a unit
+    entry costs no gcd steps and one list pass per row above. In the Monte
+    Carlo finish d is mostly 2, 3 or 4, so most rows take that step, and a
+    4x8 finish at B = 10^6 costs about 12 us, against 40 us when every row
+    was gathered by 2-column steps.
     """
-    rows = [list(row) for row in rows]
-    prod = 1
-    while rows:
+    k = len(rows)
+    rows = list(rows)
+    pivots, units, columns = [1] * k, [1] * k, [[]] * k
+    for i in range(k - 1, -1, -1):
+        if d == 1:
+            break  # the rows above all have pivot 1
         row = rows.pop()
-        units = list(map(math.gcd, row, repeat(r)))
-        if 1 in units:
-            j = units.index(1)
-            inv = pow(row[j], -1, r)
-            for other in rows:
-                f = other[j] * inv % r
-                if f:
-                    other[:] = [(x - f * y) % r for x, y in zip(other, row)]
+        gs = list(map(math.gcd, row, repeat(d)))
+        g = 1 if 1 in gs else math.gcd(*gs)
+        if i == 0 or g == d:
+            pivots[i], columns[i] = g, [0] * i
+            d //= g
             continue
-        piv = None
-        for c, x in enumerate(row):
-            if not x % r:
-                continue
-            if piv is None:
-                piv = c
-                continue
-            # [[s, -x/g], [t, a/g]] has determinant 1
-            g, s, t = _xgcd(row[piv], x)
-            u, v = x // g, row[piv] // g
-            for m in (*rows, row):
-                m[piv], m[c] = (s * m[piv] + t * m[c]) % r, (v * m[c] - u * m[piv]) % r
-        d = math.gcd(0 if piv is None else row[piv], r)
-        prod *= d
-        r //= d
-        if r == 1:
-            break
-        rows = [[e % r for c, e in enumerate(m) if c != piv] for m in rows]
-    return prod
+        if g in gs:
+            j = gs.index(g)
+        else:
+            row = [e % d for e in row]
+            rows = [list(m) for m in rows]
+            nz = [t for t, e in enumerate(row) if e]
+            j = nz[0]
+            for t in nz[1:]:
+                # [[x, -b], [y, a]] has determinant 1
+                h, x, y = _xgcd(row[j], row[t])
+                a, b = row[j] // h, row[t] // h
+                for m in (*rows, row):
+                    m[j], m[t] = (x * m[j] + y * m[t]) % d, (a * m[t] - b * m[j]) % d
+                if math.gcd(h, d) == g:
+                    break
+        if g > 1:
+            row = [e % d // g for e in row]
+        a = row[j]
+        d //= g
+        inv = pow(a, -1, d)
+        columns[i] = [m[j] for m in rows]
+        for l, m in enumerate(rows):
+            f = m[j] * inv % d
+            if f:
+                rows[l] = [(x - f * y) % d for x, y in zip(m, row)]
+        pivots[i], units[i] = g, a
+    return pivots, units, columns
 
 
 @lru_cache(maxsize=256)
@@ -363,8 +386,9 @@ def _minor_gcd_kernel(k: int, n: int) -> Callable[[Sequence[int]], int]:
 
 def _minor_gcd_finish(flat: Sequence[int], k: int, n: int, g: int) -> int:
     """The minor gcd of the k x n matrix with entries flat, given the gcd g
-    of some of its minors: elimination modulo g, which is a multiple of the
-    answer (_minor_gcd_mod). If g = 0, _bareiss first finds a nonzero minor
+    of some of its minors: the product of the pivots of the elimination
+    modulo g, a multiple of the answer (_echelon_mod, the elimination that
+    gives the Hermite form). If g = 0, _bareiss first finds a nonzero minor
     to use as g, or shows that the rank is below k. Both cost O(k^2 n)
     operations, whatever C(n, k) is."""
     rows = [flat[t * n : (t + 1) * n] for t in range(k)]
@@ -373,7 +397,7 @@ def _minor_gcd_finish(flat: Sequence[int], k: int, n: int, g: int) -> int:
         g = abs(_pivot_minor(m, _bareiss(m)))
         if g == 0:
             return 0
-    return _minor_gcd_mod(rows, g)
+    return math.prod(_echelon_mod(rows, g)[0])
 
 
 def _minor_gcd_of_rows(flat: Sequence[int], k: int, n: int) -> int:
@@ -385,8 +409,10 @@ def _minor_gcd_of_rows(flat: Sequence[int], k: int, n: int) -> int:
     two of them for k > 4, and returns as soon as it hits 1, since
     gcd(1, anything) stays 1. When those were all the minors (n <= k + 1
     for k <= 4, n = k for k > 4) the running gcd is the answer. Otherwise
-    it is a multiple of the answer, and column elimination modulo it
-    finishes in O(k^2 n) operations instead of C(n, k) determinants.
+    it is a multiple of the answer, and _minor_gcd_finish takes the product
+    of the pivots of the elimination modulo it, the one whose pivots are
+    also the diagonal of the Hermite form, in O(k^2 n) operations instead
+    of C(n, k) determinants.
 
     For n > k + 1 the plan reads cyclic column windows rather than the
     first k + 1 subsets in lexicographic order. Those share columns
@@ -401,7 +427,7 @@ def _minor_gcd_of_rows(flat: Sequence[int], k: int, n: int) -> int:
     determinant helper per planned minor, it saves the calls, the index
     unpacking and most tests of the running gcd. A Monte Carlo sample at
     B = 10^6, drawing included, costs about 1.2 us at 2x3, 2.9 us at 3x4
-    and 11 us at 4x8, against 2.4, 4.9 and 19 us with that loop, a finish
+    and 12 us at 4x8, against 2.4, 4.9 and 19 us with that loop, a finish
     that gathered every row and entries shifted one by one (best of 7,
     2-core VM, CPython 3.11.7).
     """

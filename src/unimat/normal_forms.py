@@ -20,16 +20,18 @@ least-pivot reduction (_smith) gives it, with a proven bound on its
 passes; it also completes the rare rows that no window of _complete fits.
 
 Every exact solve here reads one forward fraction-free echelon,
-matrix._bareiss. H comes from elimination modulo d (_sweep), the gcd of the
-maximal minors on the last echelon row of A, which carries no transform and
-writes no entry above d. The transforms all come from one completion M in
-GL_n(Z) whose last r rows are the r rows B with A = H_r @ B, H_r the pivot
-columns of H (so B = A when A is unimodular): U = M, the completion of a
-unimodular A is M, and S = L @ A @ R with R = M^-1 @ diag(I, R_r), where L
-and R_r reduce the k x r block H_r alone. M is built on a window of r + 1
-columns (_complete), which keeps its entries at about the size of B's; its
-cofactors above the closed forms and M^-1 come from back-substitution on
-the echelon (_solve).
+matrix._bareiss. H comes from matrix._echelon_mod, the elimination modulo
+d that also finishes the minor gcd, with d the gcd of the maximal minors
+on the last echelon row of A. It carries no transform and writes no entry
+above d; its pivots are the diagonal of H, whose product is the minor gcd,
+and _sweep reads the rest of H off it by back-substitution. The transforms
+all come from one completion M in GL_n(Z) whose last r rows are the r rows
+B with A = H_r @ B, H_r the pivot columns of H (so B = A when A is
+unimodular): U = M, the completion of a unimodular A is M, and S = L @ A @
+R with R = M^-1 @ diag(I, R_r), where L and R_r reduce the k x r block H_r
+alone. M is built on a window of r + 1 columns (_complete), which keeps
+its entries at about the size of B's; its cofactors above the closed forms
+and M^-1 come from back-substitution on the echelon (_solve).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .matrix import (
     _CLOSED_MAX,
     IntMatrix,
     _bareiss,
-    _minor_gcd_mod,
+    _echelon_mod,
     _minors_kernel,
     _pivot_minor,
     _xgcd,
@@ -100,85 +102,21 @@ def _identity_rows(n: int) -> list[list[int]]:
 
 def _sweep(rows: list[list[int]], d: int) -> list[list[int]]:
     """The last r columns of the column Hermite form of r x n rows of rank
-    r, by elimination modulo d > 0, a gcd of some of their r x r minors
-    (Domich, Kannan & Trotter, Math. Oper. Res. 12, 1987; Cohen, GTM 138,
-    Algorithm 2.4.8). Row l of the result is l zeros, its pivot, then its
+    r, read off matrix._echelon_mod(rows, d) for d > 0 a gcd of some of
+    their r x r minors. Row l of the result is l zeros, its pivot, then its
     entries in the pivot columns of the rows below.
 
-    The column lattice L of the rows has index det L | d in Z^r, and a
-    lattice of index t in Z^m contains t Z^m, so L holds R e_j for R = d:
-    every entry an operation writes is reduced below R. The columns are
-    kept as lists of their entries in the rows not yet done, and the rows
-    are taken bottom-up. Row i gets pivot g = gcd(R, its entries), and p
-    is a column whose entry a in row i has gcd(a, R) = g: one with a unit
-    entry when g = 1, else the first that has one, else the row gathered
-    into one column by 2-column xgcd steps. With a = g a', the other
-    columns c become a' c - (c_i / g) p when a' is a unit modulo R, since
-    scaling by a unit keeps L and needs no inverse, and c - (c_i / g) a'^-1
-    p otherwise, a'^-1 taken modulo R / g. The part of L that is zero on
-    row i has index det L / g, so the elimination goes on modulo R / g
-    without p (Cohen's step 4), and the pivot column is a'^-1 p with g in
-    row i.
-
-    Only the pivots above row i matter for that column's entries, which
-    are reduced against the pivot columns of the rows above and so taken
-    modulo the product M of those pivots, which divides R / g. They are
-    read off after the sweep: no inverse is needed when M = 1, as for
-    every unimodular input, whose H is [O | I]."""
+    Row i's pivot column is a'^-1 times the recorded column above, with the
+    pivot g in row i. Only the pivots above row i matter for its entries,
+    which are reduced against the pivot columns of the rows above and so
+    taken modulo the product M of those pivots, which divides d / g: they
+    follow by back-substitution, with no inverse when M = 1, as for every
+    unimodular input, whose H is [O | I]."""
+    pivots, units, columns = _echelon_mod(rows, d)
     r = len(rows)
-    cols = [list(col) for col in zip(*rows)]
-    mod = d
-    found: list[tuple[int, int, list[int]]] = [(1, 1, [])] * r  # (g, a', p) by row
-    for i in range(r - 1, -1, -1):
-        if mod == 1:
-            break  # the rows above all have pivot 1
-        row = [c[i] % mod for c in cols]
-        g, j = mod, None
-        for t, e in enumerate(row):
-            if e:
-                h = math.gcd(e, mod)
-                if h == 1:
-                    g, j = 1, t
-                    break
-                g = math.gcd(g, h)
-        if i == 0 or g == mod:
-            # nothing left to clear; a row 0 modulo R has pivot column R e_i
-            found[i] = (g, 1, [0] * i)
-            mod //= g
-            continue
-        if j is None:
-            j = next((t for t, e in enumerate(row) if e and math.gcd(e, mod) == g), None)
-        if j is None:
-            nz = [t for t, e in enumerate(row) if e]
-            j, p = nz[0], cols[nz[0]]
-            for t in nz[1:]:
-                c, a, b = cols[t], p[i] % mod, row[t]
-                h, x, y = _xgcd(a, b)
-                a, b = a // h, b // h  # [[x, -b], [y, a]] has determinant 1
-                cols[t] = [(a * ct - b * pt) % mod for pt, ct in zip(p, c)]
-                p = [(x * pt + y * ct) % mod for pt, ct in zip(p, c)]
-                row[t] = 0
-                if math.gcd(h, mod) == g:
-                    break
-            cols[j], row[j] = p, p[i]
-        p, a = cols.pop(j)[:i], row.pop(j) // g
-        next_mod = mod // g
-        if math.gcd(a, mod) == 1:
-            for t, f in enumerate(row):
-                if f:
-                    f //= g
-                    cols[t] = [(a * x - f * y) % next_mod for x, y in zip(cols[t], p)]
-        else:
-            inv = pow(a, -1, next_mod)
-            for t, f in enumerate(row):
-                if f:
-                    f = f // g * inv % next_mod
-                    cols[t] = [(x - f * y) % next_mod for x, y in zip(cols[t], p)]
-        found[i] = (g, a, p)
-        mod = next_mod
-    out = [[0] * l + [g] + [0] * (r - 1 - l) for l, (g, _, _) in enumerate(found)]
+    out = [[0] * l + [g] + [0] * (r - 1 - l) for l, g in enumerate(pivots)]
     m = 1
-    for i, (g, a, p) in enumerate(found):
+    for i, (g, a, p) in enumerate(zip(pivots, units, columns)):
         if m > 1:
             u = pow(a, -1, m)
             x = [u * e % m for e in p]
@@ -220,12 +158,13 @@ def _hermite(a: IntMatrix) -> tuple[list[list[int]], list[int], int]:
     pivot columns above plus one column each, and each is a multiple of
     the index of their column lattice. So no entry of H exceeds the
     modulus, a unimodular input often gets modulus 1 and H = [O | I] at
-    once, and at r = n the modulus is |det A|. These are some of the minors, not all,
-    so H = [O | I] stays a test of unimodularity independent of
-    full_rank_minor_gcd. Below rank k, each other row is a rational
-    combination of the pivot rows below it (_dependencies), and column
-    operations keep that combination, so its row of H is the same
-    combination of their rows of H, by exact division."""
+    once, and at r = n the modulus is |det A|. The modulus comes from
+    this echelon, not from the minor gcd, though both end in the same
+    elimination modulo a multiple of the index (_echelon_mod). Below rank
+    k, each other row is a rational combination of the pivot rows below it
+    (_dependencies), and column operations keep that combination, so its
+    row of H is the same combination of their rows of H, by exact
+    division."""
     rows = a.to_rows()
     n = a.cols
     m = [list(row) for row in rows]
@@ -407,8 +346,10 @@ def _window(
     for t in _windows(n, r):
         bt = [[row[j] for j in t] for row in b]
         # above the closed forms, first rule out the windows whose minors 2
-        # or 3 divides, most of those that fail, by elimination modulo 6
-        if r > _CLOSED_MAX and _minor_gcd_mod([[e % 6 for e in row] for row in bt], 6) != 1:
+        # or 3 divides, most of those that fail: the pivots of the
+        # elimination modulo 6, which reduces the entries as it reads them,
+        # have product 1 exactly when the minor gcd is prime to 6
+        if r > _CLOSED_MAX and math.prod(_echelon_mod(bt, 6)[0]) != 1:
             continue
         c = _cofactors(bt)
         if math.gcd(*c) == 1:

@@ -220,6 +220,10 @@ def test_density_and_limit_answer_at_400_digit_arguments(capsys, argv):
     data = json.loads(out)
     assert data["value"] == "1"
     assert Decimal(data["abs_error_bound"]) <= Decimal(1e-12)
+    if argv[0] == "limit":
+        # a plain JSON number, exact as Python's json reads it
+        d = int(argv[2])
+        assert data["terms"]["product_cutoff"] == d + 1
 
 
 def test_density_cost_independent_of_k():

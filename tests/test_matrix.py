@@ -11,9 +11,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from unimat import matrix
 from unimat.matrix import (
     IntMatrix,
     _bareiss,
+    _echelon_mod,
     _minor_gcd_of_rows,
     _pivot_minor,
     _xgcd,
@@ -306,6 +308,59 @@ KERNEL_SHAPES = [(k, n) for k in range(2, 7) for n in range(k, 9)]
 def test_minor_gcd_kernel_against_minorset(k, n, data):
     a = data.draw(_gcd_inputs(k, n))
     assert _minor_gcd_of_rows(a.entries, k, n) == math.gcd(*minors(a, k).values)
+
+
+def _pivot_cases(pivots, d, gathered):
+    """The pivot cases that the rows of one _echelon_mod(rows, d) call took,
+    given its pivots and whether it called _xgcd, which only the gather
+    does. Without a gather, a row above row 0 whose pivot is below the
+    modulus took a unit entry when its pivot is 1, and an entry of gcd
+    exactly its pivot otherwise."""
+    if gathered:
+        return {"gather"}
+    cases = set()
+    for i in range(len(pivots) - 1, 0, -1):
+        g = pivots[i]
+        if g < d:
+            cases.add("unit" if g == 1 else "exact")
+        d //= g
+    return cases
+
+
+def test_echelon_mod_pivots_against_minorset(monkeypatch):
+    # any rank, k <= 6 and n <= 9; a spy on _xgcd tells the gathers apart
+    calls = []
+    xgcd = matrix._xgcd
+    monkeypatch.setattr(matrix, "_xgcd", lambda a, b: calls.append(1) or xgcd(a, b))
+    seen = set()
+
+    def pivots(rows, d):
+        calls.clear()
+        before = [list(row) for row in rows]
+        out = _echelon_mod(rows, d)[0]
+        assert rows == before  # the rows are left as they are
+        seen.update(_pivot_cases(out, d, bool(calls)))
+        return out
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(1, 6).flatmap(_gcd_inputs),
+        st.integers(1, 5),
+        st.integers(1, 210),
+    )
+    # modulus 6: the bottom row's 4 and -3 share 2 and 3 with it, so no
+    # entry is a unit and the row is gathered
+    @example(IntMatrix.from_rows([[0, -2, 0], [0, 4, -3]]), 1, 6)
+    @example(IntMatrix.from_rows([[1, 0], [0, 2]]), 2, 4)  # 2 has gcd exactly 2 with 4
+    @example(IntMatrix.from_rows([[2, 1, 4], [3, 1, 1]]), 1, 5)  # a unit in every row
+    def check(a, c, s):
+        rows, d = a.to_rows(), math.gcd(*minors(a, a.rows).values)
+        if d:
+            assert math.prod(pivots(rows, c * d)) == d
+        assert (math.prod(pivots(rows, s)) == 1) == (math.gcd(d, s) == 1)
+
+    check()
+    assert seen == {"unit", "exact", "gather"}
 
 
 def test_wide_matrix_kernel_reads_only_planned_entries():

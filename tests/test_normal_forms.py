@@ -712,6 +712,7 @@ def _column_reduce(h: list[list[int]]) -> int:
 @example(IntMatrix.from_rows([[0, 1], [1, 0]]))  # k = n, det -1
 @example(IntMatrix.from_rows([[2, 1], [0, 3]]))  # k = n, det 6
 @example(IntMatrix.from_rows([[4, 6, 9]]))  # no entry is a unit modulo 4
+@example(IntMatrix.from_rows([[0, -2, 0], [0, 4, -3]]))  # bottom row gathered modulo 6
 def test_hermite_matches_the_column_elimination(a):
     h, piv, det = normal_forms._hermite(a)
     oracle = a.to_rows()
